@@ -80,10 +80,8 @@
 // every thread count must be bit-identical (static, churn AND sparse
 // sections); a mismatch exits non-zero.
 //
-// Every row carries the machine's NUMA socket count ("sockets") and
-// whether topology-aware worker pinning was requested ("pinned"), and the
-// churn sections report routes/sec alongside shard-rounds/sec so route
-// throughput is comparable across sections.
+// The churn sections report routes/sec alongside shard-rounds/sec so
+// route throughput is comparable across sections.
 //
 // A fifth JSONL section ("section":"sparse_workload") drives the static
 // sparse engine under the heavy-traffic workload model: Zipf-popular
@@ -103,19 +101,12 @@
 //
 // Flags: --bits D (16)  --q Q (0.1)  --pairs P (200000)  --seed S (1)
 //        --threads a,b,c (1,2,4,8)  --geometry NAME|all (ring,xor,hypercube)
-//        --pin 0|1 (0: pin workers round-robin across NUMA nodes and
-//        replicate read-only sparse tables per socket; a best-effort no-op
-//        on machines without pinning support, and never affects results)
 //        --churn-bits D (12)  --churn-rounds R (4, 0 disables the section)
 //        --sparse-bits D (32)  --sparse-n-max N (1048576, 0 disables the
 //        sparse AND sparse_workload sections; the grid is 2^14, 2^17, 2^20
 //        clipped to N)
 //        --sparse-churn-n N (65536, stationary population; 0 disables)
 //        --sparse-churn-rounds R (3, measured rounds; 0 disables)
-//        --sparse-churn-batch 0|1 (1: route the sync-mode measurements in
-//        8-lane batches; 0 selects the scalar reference path.  The two are
-//        bit-identical -- the knob exists for A/B perf runs.  In-flight
-//        mode is always scalar.)
 //        --pd PD --pr PR --refresh R (0.02, 0.08, 10: the lifecycle of the
 //        churn and sparse-churn sections)
 //        --zipf S (1.1, object-popularity skew of the workload sections)
@@ -148,7 +139,6 @@
 #include "obs/trace.hpp"
 #include "sim/monte_carlo.hpp"
 #include "sim/parallel_monte_carlo.hpp"
-#include "sim/topology.hpp"
 #include "sparse/flat_sparse.hpp"
 #include "sparse/sparse_chord.hpp"
 #include "sparse/sparse_kademlia.hpp"
@@ -177,7 +167,6 @@ struct Config {
   // in a 2^32 key space (ring + successor lists).
   std::uint64_t sparse_churn_n = 1u << 16;  // 0 disables the section
   int sparse_churn_rounds = 3;              // 0 disables the section
-  bool sparse_churn_batch = true;           // 0 = scalar reference path
   // Lifecycle of the churn + sparse-churn sections; validated at the flag
   // boundary (parse_args) instead of the deep check_params DHT_CHECK.
   double pd = 0.02;
@@ -189,10 +178,6 @@ struct Config {
   std::uint64_t workload_objects = 0;  // 0 = one object per alive node
   int cache_entries = 8;
   int replicas = 3;
-  // Topology-aware scheduling: pin workers round-robin across NUMA nodes
-  // and give each socket its own read-only copy of the sparse tables.
-  // Scheduling only -- estimates are bit-identical either way.
-  bool pin = false;
   // Chrome trace_event JSON output of the engine phase spans ("" = off).
   std::string trace_out;
   // Observability side-channels (phase profiles + trace spans).  --obs 0
@@ -311,13 +296,6 @@ Config parse_args(int argc, char** argv) {
             value);
         std::exit(1);
       }
-    } else if (flag == "--sparse-churn-batch") {
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "--sparse-churn-batch must be 0 or 1, got %s\n",
-                     value);
-        std::exit(1);
-      }
-      cfg.sparse_churn_batch = std::strcmp(value, "1") == 0;
     } else if (flag == "--zipf") {
       cfg.zipf = std::atof(value);
       if (!(std::isfinite(cfg.zipf) && cfg.zipf >= 0.0)) {
@@ -364,8 +342,6 @@ Config parse_args(int argc, char** argv) {
         std::fprintf(stderr, "--refresh must be >= 1, got %s\n", value);
         std::exit(1);
       }
-    } else if (flag == "--pin") {
-      cfg.pin = std::atoi(value) != 0;
     } else if (flag == "--trace-out") {
       cfg.trace_out = value;
     } else if (flag == "--obs") {
@@ -440,12 +416,10 @@ void emit(const Config& cfg, const std::string& geometry, const char* path,
           const obs::FailureTaxonomy& failures) {
   std::printf(
       "{\"bench\":\"perf_simulator\",\"geometry\":\"%s\",\"path\":\"%s\","
-      "\"threads\":%u,\"sockets\":%u,\"pinned\":%s,\"n\":%llu,\"q\":%.6f,"
-      "\"pairs\":%llu,\"seed\":%llu,"
+      "\"threads\":%u,\"n\":%llu,\"q\":%.6f,\"pairs\":%llu,\"seed\":%llu,"
       "\"seconds\":%.6f,\"routes_per_sec\":%.1f,\"speedup_vs_seed\":%.3f,"
       "\"routability\":%.6f,%s,\"identical_across_threads\":%s}\n",
-      geometry.c_str(), path, threads, sim::topology().nodes(),
-      cfg.pin ? "true" : "false",
+      geometry.c_str(), path, threads,
       static_cast<unsigned long long>(std::uint64_t{1} << cfg.bits), cfg.q,
       static_cast<unsigned long long>(cfg.pairs),
       static_cast<unsigned long long>(cfg.seed), seconds,
@@ -470,14 +444,12 @@ void emit_sparse(const Config& cfg, const char* geometry, const char* path,
                  const obs::FailureTaxonomy& failures) {
   std::printf(
       "{\"bench\":\"perf_simulator\",\"section\":\"sparse\","
-      "\"geometry\":\"%s\",\"path\":\"%s\",\"threads\":%u,\"sockets\":%u,"
-      "\"pinned\":%s,\"n\":%llu,"
+      "\"geometry\":\"%s\",\"path\":\"%s\",\"threads\":%u,\"n\":%llu,"
       "\"bits\":%d,\"q\":%.6f,\"pairs\":%llu,\"seed\":%llu,"
       "\"build_seconds\":%.6f,\"seconds\":%.6f,\"routes_per_sec\":%.1f,"
       "\"speedup_vs_virtual\":%.3f,\"routability\":%.6f,%s,"
       "\"identical_across_threads\":%s}\n",
-      geometry, path, threads, sim::topology().nodes(),
-      cfg.pin ? "true" : "false", static_cast<unsigned long long>(n),
+      geometry, path, threads, static_cast<unsigned long long>(n),
       cfg.sparse_bits, cfg.q, static_cast<unsigned long long>(cfg.pairs),
       static_cast<unsigned long long>(cfg.seed), build_seconds, seconds,
       static_cast<double>(cfg.pairs) / seconds, speedup, routability,
@@ -536,11 +508,8 @@ bool run_sparse_section(const Config& cfg, obs::Trace* trace) {
       sparse::SparseEstimate reference;
       for (unsigned threads : cfg.threads) {
         obs::PhaseProfile profile;
-        sparse::SparseParallelOptions options{
-            .pairs = cfg.pairs,
-            .threads = threads,
-            .pin_workers = cfg.pin,
-            .numa_replicate_tables = cfg.pin};
+        sparse::SparseParallelOptions options{.pairs = cfg.pairs,
+                                              .threads = threads};
         options.profile = cfg.obs ? &profile : nullptr;
         options.trace = cfg.obs ? trace : nullptr;
         const auto start = std::chrono::steady_clock::now();
@@ -571,15 +540,14 @@ void emit_sparse_workload(const Config& cfg, unsigned threads,
                           const obs::PhaseProfile& profile) {
   std::printf(
       "{\"bench\":\"perf_simulator\",\"section\":\"sparse_workload\","
-      "\"geometry\":\"sparse-ring\",\"threads\":%u,\"sockets\":%u,"
-      "\"pinned\":%s,\"n\":%llu,\"bits\":%d,\"q\":%.6f,\"pairs\":%llu,"
+      "\"geometry\":\"sparse-ring\",\"threads\":%u,\"n\":%llu,\"bits\":%d,"
+      "\"q\":%.6f,\"pairs\":%llu,"
       "\"zipf\":%.2f,\"objects\":%llu,\"cache_entries\":%d,\"seed\":%llu,"
       "\"seconds\":%.6f,\"routes_per_sec\":%.1f,\"cache_hit_rate\":%.6f,"
       "\"mean_hops\":%.3f,\"load_max\":%llu,\"load_p99\":%llu,"
       "\"load_cv\":%.6f,\"routability\":%.6f,%s,"
       "\"identical_across_threads\":%s}\n",
-      threads, sim::topology().nodes(), cfg.pin ? "true" : "false",
-      static_cast<unsigned long long>(n), cfg.sparse_bits, cfg.q,
+      threads, static_cast<unsigned long long>(n), cfg.sparse_bits, cfg.q,
       static_cast<unsigned long long>(cfg.pairs), cfg.zipf,
       static_cast<unsigned long long>(objects), cache_entries,
       static_cast<unsigned long long>(cfg.seed), seconds,
@@ -627,9 +595,7 @@ bool run_sparse_workload_section(const Config& cfg, obs::Trace* trace) {
             .threads = threads,
             // Fixed shard count: results are a function of (seed, shards),
             // and per-shard caches warm with the shard's draw stream.
-            .shards = 64,
-            .pin_workers = cfg.pin,
-            .numa_replicate_tables = cfg.pin};
+            .shards = 64};
         options.workload.zipf_s = cfg.zipf;
         options.workload.objects = cfg.workload_objects;
         options.workload.cache_entries = cache_entries;
@@ -699,9 +665,7 @@ int main(int argc, char** argv) {
     sim::RoutabilityEstimate reference;
     for (unsigned threads : cfg.threads) {
       obs::PhaseProfile profile;
-      sim::ParallelOptions options{.pairs = cfg.pairs,
-                                   .threads = threads,
-                                   .pin_workers = cfg.pin};
+      sim::ParallelOptions options{.pairs = cfg.pairs, .threads = threads};
       options.profile = cfg.obs ? &profile : nullptr;
       options.trace = cfg.obs ? trace : nullptr;
       start = std::chrono::steady_clock::now();
@@ -740,7 +704,6 @@ int main(int argc, char** argv) {
       obs::PhaseProfile profile;
       churn::TrajectoryOptions options = base;
       options.threads = threads;
-      options.pin_workers = cfg.pin;
       options.profile = cfg.obs ? &profile : nullptr;
       options.trace = cfg.obs ? trace : nullptr;
       const auto start = std::chrono::steady_clock::now();
@@ -774,16 +737,14 @@ int main(int argc, char** argv) {
       const double route_s = profile[obs::Phase::kRoute];
       std::printf(
           "{\"bench\":\"perf_simulator\",\"section\":\"churn\","
-          "\"geometry\":\"xor\",\"threads\":%u,\"sockets\":%u,"
-          "\"pinned\":%s,\"n\":%llu,\"shards\":%llu,"
+          "\"geometry\":\"xor\",\"threads\":%u,\"n\":%llu,\"shards\":%llu,"
           "\"warmup_rounds\":%d,\"rounds\":%d,\"pairs_per_round\":%llu,"
           "\"q_eff\":%.6f,\"seed\":%llu,\"seconds\":%.6f,"
           "\"shard_rounds_per_sec\":%.1f,\"routes\":%llu,"
           "\"routes_per_sec\":%.1f,\"route_phase_routes_per_sec\":%.1f,"
           "%s,"
           "\"routability\":%.6f,\"identical_across_threads\":%s}\n",
-          threads, sim::topology().nodes(), cfg.pin ? "true" : "false",
-          static_cast<unsigned long long>(churn_space.size()),
+          threads, static_cast<unsigned long long>(churn_space.size()),
           static_cast<unsigned long long>(result.shards),
           base.warmup_rounds, cfg.churn_rounds,
           static_cast<unsigned long long>(base.pairs_per_round),
@@ -857,7 +818,6 @@ int main(int argc, char** argv) {
           .pairs_per_round = 2000,
           .shards = 8};
       base.inflight = mode.inflight;
-      base.batch_routes = cfg.sparse_churn_batch;
       const double q_eff = churn::effective_q(params);
       const double q_nr = churn::effective_q_no_return(params, config.session);
       const math::Rng churn_rng(cfg.seed + 4);
@@ -867,7 +827,6 @@ int main(int argc, char** argv) {
         obs::PhaseProfile profile;
         churn::TrajectoryOptions options = base;
         options.threads = threads;
-        options.pin_workers = cfg.pin;
         options.profile = cfg.obs ? &profile : nullptr;
         options.trace = cfg.obs ? trace : nullptr;
         const auto start = std::chrono::steady_clock::now();
@@ -898,10 +857,9 @@ int main(int argc, char** argv) {
         const double route_s = profile[obs::Phase::kRoute];
         std::printf(
             "{\"bench\":\"perf_simulator\",\"section\":\"sparse_churn\","
-            "\"geometry\":\"%s\",\"threads\":%u,\"sockets\":%u,"
-            "\"pinned\":%s,\"n0\":%llu,"
+            "\"geometry\":\"%s\",\"threads\":%u,\"n0\":%llu,"
             "\"capacity\":%llu,\"bits\":32,\"succ\":%d,"
-            "\"inflight\":%s,\"batched\":%s,\"k\":%d,\"session\":\"%s\","
+            "\"inflight\":%s,\"k\":%d,\"session\":\"%s\","
             "\"shards\":%llu,"
             "\"warmup_rounds\":%d,\"rounds\":%d,\"pairs_per_round\":%llu,"
             "\"pd\":%.6f,\"pr\":%.6f,\"refresh\":%d,\"rho\":%.2f,"
@@ -914,12 +872,10 @@ int main(int argc, char** argv) {
             "\"load_max\":%llu,\"load_p99\":%.1f,\"load_cv\":%.6f,"
             "\"mean_population\":%.1f,"
             "\"identical_across_threads\":%s}\n",
-            churn::to_string(mode.geometry), threads, sim::topology().nodes(),
-            cfg.pin ? "true" : "false",
+            churn::to_string(mode.geometry), threads,
             static_cast<unsigned long long>(cfg.sparse_churn_n),
             static_cast<unsigned long long>(config.capacity),
             config.successors, mode.inflight ? "true" : "false",
-            !mode.inflight && cfg.sparse_churn_batch ? "true" : "false",
             config.bucket_k, churn::to_string(mode.session),
             static_cast<unsigned long long>(result.shards),
             base.warmup_rounds, cfg.sparse_churn_rounds,

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 #include "sim/shard_pool.hpp"
 #include "sparse/flat_sparse.hpp"
 
@@ -570,6 +569,8 @@ void check_config(const SparseChurnConfig& config,
             "kademlia bucket width must be in [1, 64]");
   DHT_CHECK(config.replicas >= 1 && config.replicas <= 64,
             "replication factor must be in [1, 64]");
+  DHT_CHECK(config.announce >= 0,
+            "join-announcement budget (announce) must be >= 0");
   DHT_CHECK(std::isfinite(config.zipf_s) && config.zipf_s >= 0.0,
             "workload zipf skew must be finite and >= 0");
   DHT_CHECK(config.objects <= (std::uint64_t{1} << 26),
@@ -684,20 +685,10 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
   membership_.join(joiners_, id_rng_);
   membership_.commit();
   total_joins_ += joiners_.size();
-  // The row arenas are the kernels' random-access working set; back them
-  // with huge pages (best effort) before first touch so the fill faults
-  // 2MB pages directly -- same rationale as the static engine's tables.
   const std::uint64_t row_cells =
       capacity * static_cast<std::uint64_t>(row_width_);
   const std::uint64_t succ_cells =
       capacity * static_cast<std::uint64_t>(config_.successors);
-  common::reserve_hugepages(table_, row_cells);
-  common::reserve_hugepages(table_id_, row_cells);
-  common::reserve_hugepages(table_gen_, row_cells);
-  common::reserve_hugepages(refreshed_at_, row_cells);
-  common::reserve_hugepages(successors_, succ_cells);
-  common::reserve_hugepages(successors_id_, succ_cells);
-  common::reserve_hugepages(successors_gen_, succ_cells);
   table_.assign(row_cells, kNoSlot);
   table_gen_.assign(table_.size(), 0);
   table_id_.assign(table_.size(), 0);
@@ -1213,6 +1204,12 @@ ChurnKernelCtx SparseChurnWorld::kernel_ctx() const {
 
 sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs,
                                                  math::Rng& rng) {
+  return measure_with(pairs, rng, &SparseChurnWorld::route_chunk_batched);
+}
+
+sparse::SparseEstimate SparseChurnWorld::measure_with(std::uint64_t pairs,
+                                                      math::Rng& rng,
+                                                      RouteChunk route_chunk) {
   obs::PhaseTimer route_timer(profile_, obs::Phase::kRoute, trace_);
   sparse::SparseEstimate estimate;
   if (membership_.population() < 2) {
@@ -1291,11 +1288,7 @@ sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs,
         }
       }
     }
-    if (batch_routes_) {
-      measure_batched_routes(ctx, attempts, estimate);
-    } else {
-      measure_scalar_routes(ctx, attempts, estimate);
-    }
+    (this->*route_chunk)(ctx, attempts, estimate);
   }
   return estimate;
 }
@@ -1382,9 +1375,9 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
 // The scalar reference path: pair by pair through the shared single-route
 // core, replicas consulted in attempt order only while unavailable --
 // exactly the historical control flow over the drawn chunk.
-void SparseChurnWorld::measure_scalar_routes(
-    const ChurnKernelCtx& ctx, int attempts,
-    sparse::SparseEstimate& estimate) {
+void SparseChurnWorld::route_chunk_scalar(const ChurnKernelCtx& ctx,
+                                          int attempts,
+                                          sparse::SparseEstimate& estimate) {
   StepResult (*step_fn)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
                         std::uint64_t) =
       geometry_ == SparseChurnGeometry::kKademlia ? &step_xor
@@ -1425,11 +1418,11 @@ void SparseChurnWorld::measure_scalar_routes(
 // attempt set gets routed.  Every recorded quantity -- estimate counters,
 // availability flags, load bumps -- is a commutative sum over that
 // identical set, so lane scheduling cannot change the merged result;
-// per-pair equality against measure_scalar_routes is gated in
+// per-pair equality against route_chunk_scalar is gated in
 // test_sparse_churn.
-void SparseChurnWorld::measure_batched_routes(
-    const ChurnKernelCtx& ctx, int attempts,
-    sparse::SparseEstimate& estimate) {
+void SparseChurnWorld::route_chunk_batched(const ChurnKernelCtx& ctx,
+                                           int attempts,
+                                           sparse::SparseEstimate& estimate) {
   const bool workload = workload_enabled();
   const bool xor_geometry = geometry_ == SparseChurnGeometry::kKademlia;
   const auto n = static_cast<std::uint32_t>(draws_.size());
@@ -1529,6 +1522,12 @@ void SparseChurnWorld::measure_batched_routes(
 
 sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs) {
   return measure(pairs, measure_rng_);
+}
+
+sparse::SparseEstimate SparseChurnWorld::measure_scalar_routes(
+    std::uint64_t pairs) {
+  return measure_with(pairs, measure_rng_,
+                      &SparseChurnWorld::route_chunk_scalar);
 }
 
 sparse::SparseEstimate SparseChurnWorld::measure_inflight(
@@ -1724,22 +1723,18 @@ SparseChurnResult run_sparse_churn_trajectory(
       sim::PoolOptions{.threads = sim::resolve_threads(options.threads),
                        // Replica worlds are heavy; claim one at a time so
                        // the tail load-balances.
-                       .chunk = 1,
-                       .pin_workers = options.pin_workers},
+                       .chunk = 1},
       [&](std::uint64_t s) {
         obs::PhaseProfile* const profile =
             observed ? &shard_profiles[s] : nullptr;
         // Shard s is an independent replica of the whole trajectory, a
-        // pure function of (caller seed, s).  Its world is allocated here,
-        // on the (optionally pinned) worker, so first touch places it on
-        // the worker's socket.
+        // pure function of (caller seed, s).
         obs::PhaseTimer build_timer(profile, obs::Phase::kWorldBuild,
                                     options.trace);
         SparseChurnWorld world(geometry, config, params,
                                options.repair_probability, options.max_hops,
                                rng.fork(s));
         build_timer.stop();
-        world.set_batch_routes(options.batch_routes);
         world.set_observer(profile, options.trace);
         if (!shard_sinks.empty()) {
           world.set_route_trace(&shard_sinks[s], s);

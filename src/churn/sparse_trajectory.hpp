@@ -96,7 +96,8 @@ struct SparseChurnConfig {
   /// Symphony shortcut count ks (ignored by the other geometries).
   int shortcuts = 6;
   /// Join-announcement budget: how many nearby nodes a joiner installs
-  /// itself into (Kademlia's self-lookup deep-bucket inserts; 0 disables).
+  /// itself into (Kademlia's self-lookup deep-bucket inserts; 0 disables,
+  /// negative is rejected).
   /// The ring geometries announce to the clockwise predecessor's successor
   /// list instead (Chord's notify), which costs nothing extra.  Without
   /// announcement a newcomer is invisible to in-edges until their owners
@@ -168,14 +169,20 @@ class SparseChurnWorld {
   /// All per-pair randomness (sources, targets, Zipf objects) is drawn up
   /// front in pair order; routing itself is rng-free, so the measurement
   /// stream is byte-for-byte the historical interleaved one.  The routes
-  /// then run either through the 8-lane SoA batch driver (the default) or
-  /// the scalar reference path -- bit-identical by construction, because
-  /// every recorded quantity (estimate counters, per-slot load adds) is
-  /// commutative and the batch executes exactly the scalar attempt set.
+  /// then run through the 8-lane SoA batch driver.
   sparse::SparseEstimate measure(std::uint64_t pairs, math::Rng& rng);
 
   /// Same, drawing from the world's own measurement sub-stream.
   sparse::SparseEstimate measure(std::uint64_t pairs);
+
+  /// The scalar reference for measure(pairs): the same pair draws from
+  /// the world's measurement sub-stream, routed pair by pair through the
+  /// single-route core in attempt order.  It must be bit-identical to
+  /// measure() -- every recorded quantity (estimate counters, per-slot
+  /// load adds) is commutative and the batch driver executes exactly the
+  /// scalar attempt set -- which test_sparse_churn gates per pair.  Not
+  /// used by the engines.
+  sparse::SparseEstimate measure_scalar_routes(std::uint64_t pairs);
 
   /// One in-flight measured round: advances the round AND samples `pairs`
   /// routes while the world moves underneath them.  Instead of the
@@ -197,16 +204,6 @@ class SparseChurnWorld {
   /// Same, drawing from the world's own measurement sub-stream.
   sparse::SparseEstimate measure_inflight(std::uint64_t pairs,
                                           std::uint64_t events_per_hop = 0);
-
-  /// Selects the sync-mode route engine: true (default) routes GETs in
-  /// 8-lane struct-of-arrays batches; false keeps the scalar reference
-  /// path.  Results are bit-identical either way (gated in
-  /// test_sparse_churn); the knob exists for A/B measurement and the
-  /// equality tests.  In-flight measurement is always scalar: the
-  /// lifecycle sweep advances under every hop, so routes are inherently
-  /// sequential.
-  void set_batch_routes(bool batched) noexcept { batch_routes_ = batched; }
-  bool batch_routes() const noexcept { return batch_routes_; }
 
   int round() const noexcept { return round_; }
   std::uint64_t population() const noexcept {
@@ -264,10 +261,16 @@ class SparseChurnWorld {
   ChurnKernelCtx kernel_ctx() const;
   // Route one chunk of draws_ (scalar reference path / 8-lane batched
   // path); both consume no rng and record identical per-pair outcomes.
-  void measure_scalar_routes(const ChurnKernelCtx& ctx, int attempts,
-                             sparse::SparseEstimate& estimate);
-  void measure_batched_routes(const ChurnKernelCtx& ctx, int attempts,
-                              sparse::SparseEstimate& estimate);
+  void route_chunk_scalar(const ChurnKernelCtx& ctx, int attempts,
+                          sparse::SparseEstimate& estimate);
+  void route_chunk_batched(const ChurnKernelCtx& ctx, int attempts,
+                           sparse::SparseEstimate& estimate);
+  using RouteChunk = void (SparseChurnWorld::*)(const ChurnKernelCtx&, int,
+                                                sparse::SparseEstimate&);
+  // measure()'s body: draws the pairs a chunk at a time and hands each
+  // chunk to `route_chunk`.
+  sparse::SparseEstimate measure_with(std::uint64_t pairs, math::Rng& rng,
+                                      RouteChunk route_chunk);
   void refresh_entry(NodeSlot slot, int index);
   void announce_join(NodeSlot slot);
   void rebuild_tables(NodeSlot slot);
@@ -346,7 +349,6 @@ class SparseChurnWorld {
   std::vector<GetDraw> draws_;
   std::vector<std::uint8_t> get_available_;
   std::vector<std::pair<std::uint32_t, int>> retry_;  // (pair, attempt)
-  bool batch_routes_ = true;
   // Messages forwarded per slot across all measured routes (plain u64: the
   // world is single-threaded; see sim/load_stats.hpp for the shapes).
   std::vector<std::uint64_t> load_;

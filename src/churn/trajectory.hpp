@@ -64,18 +64,13 @@ struct TrajectoryOptions {
   std::uint64_t shards = 0;
   /// Worker threads (0 = hardware concurrency).  Never affects results.
   unsigned threads = 0;
-  /// Pin workers round-robin across NUMA nodes (sim/shard_pool.hpp) so each
-  /// replica world is first-touched on -- and stays on -- its worker's
-  /// socket.  Best effort, silently ignored where unsupported; never
-  /// affects results.
-  bool pin_workers = false;
   /// Safety hop cap per route (0 = default N); hits are counted in the
   /// estimates' hop_limit_hits canary.
   std::uint64_t max_hops = 0;
   /// Per-round probability that an entry observed dead is eagerly repaired
   /// (re-pointed at an alive class member) in addition to the scheduled
   /// refresh -- the rho knob of the static-repair model.  0 = pure lazy
-  /// refresh (the ChurnSimulator model).
+  /// refresh.
   double repair_probability = 0.0;
   /// In-flight lookup measurement (sparse churn engine only): membership
   /// events and repairs advance DURING each measured route instead of
@@ -88,11 +83,6 @@ struct TrajectoryOptions {
   /// sweep is flushed at the end of the round, so a measured round always
   /// performs exactly one full lifecycle round.
   std::uint64_t inflight_events_per_hop = 0;
-  /// Route sync-mode measurement in 8-lane SoA batches (sparse churn
-  /// engine; bit-identical to the scalar path, which `false` selects for
-  /// A/B measurement).  Ignored by the dense engine and by in-flight mode,
-  /// which is inherently sequential.
-  bool batch_routes = true;
   /// Route forensics (sparse churn engine, sync mode only): sample about
   /// this many routes run-wide and record their full hop sequences
   /// (obs/route_trace.hpp).  Which pairs are traced is a pure function of

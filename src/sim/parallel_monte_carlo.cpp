@@ -232,9 +232,7 @@ RoutabilityEstimate estimate_routability_parallel(
 
   std::vector<RoutabilityEstimate> results(shards);
   std::vector<obs::PhaseProfile> shard_profiles(observed ? shards : 0);
-  run_sharded(shards,
-              PoolOptions{.threads = resolve_threads(options.threads),
-                          .pin_workers = options.pin_workers},
+  run_sharded(shards, resolve_threads(options.threads),
               [&](std::uint64_t s) {
                 // Shard s is a pure function of (caller seed, s): fork a
                 // private lineage whose counter streams feed the lanes.
@@ -282,9 +280,7 @@ RoutabilityEstimate exact_routability_parallel(
   const std::uint64_t extra = size % shards;
 
   std::vector<RoutabilityEstimate> results(shards);
-  run_sharded(shards,
-              PoolOptions{.threads = resolve_threads(options.threads),
-                          .pin_workers = options.pin_workers},
+  run_sharded(shards, resolve_threads(options.threads),
               [&](std::uint64_t s) {
                 // Shard s owns the contiguous source block [lo, hi).
                 const std::uint64_t lo = s * base + std::min(s, extra);

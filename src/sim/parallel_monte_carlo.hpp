@@ -52,9 +52,6 @@ struct ParallelOptions {
   /// next_hop's one-per-candidate reservoir, so its routes differ
   /// individually while the estimate stays identically distributed.
   bool use_flat_kernels = true;
-  /// Pin worker threads round-robin across NUMA nodes (sim/topology.hpp);
-  /// best effort, a silent no-op where unsupported.  Never affects results.
-  bool pin_workers = false;
   /// Observability sinks (obs/phase_timer.hpp), both optional and both
   /// pure timing side-channels: per-shard phase seconds are reduced in
   /// shard order into `profile`, phase spans go to `trace`.  Null (the
@@ -77,9 +74,6 @@ struct ExactParallelOptions {
   /// Source-block shards (0 = default, min(N, 256)).
   std::uint64_t shards = 0;
   bool use_flat_kernels = true;
-  /// Pin worker threads round-robin across NUMA nodes; scheduling only,
-  /// never affects results.
-  bool pin_workers = false;
 };
 
 /// Exact measurement over every ordered pair of alive nodes with the O(N^2)

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 #include "math/zipf.hpp"
 #include "sim/shard_pool.hpp"
-#include "sim/topology.hpp"
 #include "sparse/sparse_chord.hpp"
 #include "sparse/sparse_kademlia.hpp"
 #include "sparse/sparse_symphony.hpp"
@@ -375,81 +372,6 @@ void run_lanes(const FlatSparseCtx& c, const SparseOverlay& overlay,
   }
 }
 
-// Per-NUMA-node replica of the read-only routing state.  The owning
-// vectors are first-touched by a thread pinned to the replica's node, so
-// every worker's hot loads resolve in local memory.
-struct CtxReplica {
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint8_t> alive;
-  std::vector<std::uint64_t> alive_bits;
-  std::vector<NodeIndex> table;
-  std::vector<std::uint64_t> packed;
-  std::vector<std::uint64_t> progress;
-  std::vector<std::uint8_t> row_len;
-  FlatSparseCtx ctx;
-
-  void copy_from(const FlatSparseCtx& c) {
-    ctx = c;
-    const std::uint64_t table_len =
-        c.n * static_cast<std::uint64_t>(c.row_width);
-    common::reserve_hugepages(ids, c.n);
-    common::reserve_hugepages(table, table_len);
-    if (c.packed != nullptr) {
-      common::reserve_hugepages(packed, table_len);
-    }
-    if (c.progress != nullptr) {
-      common::reserve_hugepages(progress, table_len);
-    }
-    ids.assign(c.ids, c.ids + c.n);
-    ctx.ids = ids.data();
-    alive.assign(c.alive, c.alive + c.n);
-    ctx.alive = alive.data();
-    if (c.alive_bits != nullptr) {
-      alive_bits.assign(c.alive_bits, c.alive_bits + c.n / 64 + 1);
-      ctx.alive_bits = alive_bits.data();
-      ctx.alive_bits_owner = nullptr;
-    }
-    if (c.packed != nullptr) {
-      packed.assign(c.packed, c.packed + table_len);
-      ctx.packed = packed.data();
-    }
-    if (c.progress != nullptr) {
-      progress.assign(c.progress, c.progress + table_len);
-      ctx.progress = progress.data();
-    }
-    if (c.row_len != nullptr) {
-      row_len.assign(c.row_len, c.row_len + c.n);
-      ctx.row_len = row_len.data();
-    }
-    if (c.table != nullptr && table_len > 0) {
-      table.assign(c.table, c.table + table_len);
-      ctx.table = table.data();
-    }
-  }
-};
-
-// Builds one replica per NUMA node, each copied by a thread pinned to that
-// node (first-touch places the pages locally).  The copies hold the same
-// bytes as the original context, so routing through any of them is
-// bit-identical; node 0's replica is built too, keeping the code path
-// uniform (and exercised) on single-socket machines.
-std::vector<CtxReplica> build_replicas(const FlatSparseCtx& c) {
-  const sim::Topology& topo = sim::topology();
-  std::vector<CtxReplica> replicas(topo.nodes());
-  std::vector<std::thread> builders;
-  builders.reserve(replicas.size());
-  for (std::size_t node = 0; node < replicas.size(); ++node) {
-    builders.emplace_back([&, node] {
-      (void)sim::pin_current_thread(topo.node_cpus[node].front());
-      replicas[node].copy_from(c);
-    });
-  }
-  for (std::thread& t : builders) {
-    t.join();
-  }
-  return replicas;
-}
-
 }  // namespace
 
 void route_pairs_batched(const FlatSparseCtx& c, const SparseOverlay& overlay,
@@ -526,14 +448,6 @@ SparseWorkloadReport estimate_workload_parallel(
     ctx.load = loads.data();
   }
 
-  // Optional per-socket copies of the read-only routing state; workers pick
-  // the replica local to wherever they run.  Bit-identical either way.
-  std::vector<flat::CtxReplica> replicas;
-  if (options.numa_replicate_tables &&
-      ctx.kind != flat::SparseKernelKind::kGeneric) {
-    replicas = flat::build_replicas(ctx);
-  }
-
   build_timer.stop();
 
   const std::uint64_t shards =
@@ -546,9 +460,7 @@ SparseWorkloadReport estimate_workload_parallel(
   std::vector<obs::PhaseProfile> shard_profiles(observed ? shards : 0);
   sim::run_sharded(
       shards,
-      sim::PoolOptions{.threads = sim::resolve_threads(options.threads),
-                       .pin_workers = options.pin_workers},
-      [&](std::uint64_t s) {
+      sim::resolve_threads(options.threads), [&](std::uint64_t s) {
         obs::PhaseTimer route_timer(observed ? &shard_profiles[s] : nullptr,
                                     obs::Phase::kRoute, options.trace);
         // Shard s is a pure function of (caller seed, s): fork a private
@@ -556,12 +468,7 @@ SparseWorkloadReport estimate_workload_parallel(
         // of the pair budget.
         const math::Rng shard_rng = rng.fork(s);
         const std::uint64_t pairs = base + (s < extra ? 1 : 0);
-        flat::FlatSparseCtx local =
-            replicas.empty()
-                ? ctx
-                : replicas[static_cast<std::size_t>(sim::current_numa_node()) %
-                           replicas.size()]
-                      .ctx;
+        flat::FlatSparseCtx local = ctx;
         // Shard-private path cache (empty slots are all-ones): hits are a
         // pure function of the shard's lane schedule, so the estimate
         // stays bit-identical at any thread count.  Only ~thread-count

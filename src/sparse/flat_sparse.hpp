@@ -659,16 +659,6 @@ struct SparseParallelOptions {
   /// the kernels replicate next_hop exactly and results are bit-identical
   /// either way (asserted in test_flat_sparse).
   bool use_flat_kernels = true;
-  /// Pin worker threads round-robin across NUMA nodes (sim/topology.hpp);
-  /// best effort, a silent no-op where unsupported.  Never affects results.
-  bool pin_workers = false;
-  /// Replicate the read-only routing state (ids, liveness mask, neighbor
-  /// tables) once per NUMA node -- each copy first-touched by a thread
-  /// pinned to that node -- and point every worker at its local replica.
-  /// Flat-kernel path only; results are bit-identical either way (the
-  /// copies hold the same bytes), so this is purely a locality knob.  Off
-  /// by default: the copies cost memory and only pay off multi-socket.
-  bool numa_replicate_tables = false;
   /// Heavy-traffic workload model (defaults fully off: the uniform-pair
   /// engine below is byte-for-byte the historical one).
   SparseWorkloadOptions workload{};

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 
 namespace dht::sparse {
 
@@ -14,7 +13,6 @@ SparseChordOverlay::SparseChordOverlay(const SparseIdSpace& space)
   const std::uint64_t n = space.node_count();
   const std::uint64_t size = space.key_space_size();
   const std::uint64_t mask = size - 1;
-  common::reserve_hugepages(fingers_, n * static_cast<std::uint64_t>(d));
   fingers_.resize(n * static_cast<std::uint64_t>(d));
   // First pass: distinct fingers per node, CSR-compressed into temporaries.
   std::vector<std::uint64_t> offsets;
@@ -64,7 +62,6 @@ SparseChordOverlay::SparseChordOverlay(const SparseIdSpace& space)
   if (d <= 32) {
     // Packed shape: (progress << 32) | target per entry; pad is
     // (0 << 32) | kNoNode, below every admissibility key.
-    common::reserve_hugepages(route_packed_, n * stride);
     route_packed_.assign(n * stride, std::uint64_t{kNoNode});
     for (NodeIndex v = 0; v < n; ++v) {
       const std::uint64_t lo = offsets[v];
@@ -75,8 +72,6 @@ SparseChordOverlay::SparseChordOverlay(const SparseIdSpace& space)
       }
     }
   } else {
-    common::reserve_hugepages(route_progress_, n * stride);
-    common::reserve_hugepages(route_targets_, n * stride);
     route_progress_.assign(n * stride, 0);
     route_targets_.assign(n * stride, kNoNode);
     for (NodeIndex v = 0; v < n; ++v) {

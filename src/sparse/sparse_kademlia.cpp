@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 
 namespace dht::sparse {
 
@@ -18,7 +17,6 @@ SparseKademliaOverlay::SparseKademliaOverlay(const SparseIdSpace& space,
   const int d = space.bits();
   const std::uint64_t n = space.node_count();
   const auto row_width = static_cast<std::uint64_t>(d) * k;
-  common::reserve_hugepages(contacts_, n * row_width);
   contacts_.resize(n * row_width, kNoNode);
   for (NodeIndex v = 0; v < n; ++v) {
     const sim::NodeId base = space.id_of(v);

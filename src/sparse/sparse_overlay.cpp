@@ -1,7 +1,6 @@
 #include "sparse/sparse_overlay.hpp"
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 
 namespace dht::sparse {
 
@@ -12,7 +11,7 @@ SparseFailure::SparseFailure(const SparseIdSpace& space, double q,
     : alive_(space.node_count(), 1) {
   DHT_CHECK(q >= 0.0 && q <= 1.0, "failure probability q must be in [0, 1]");
   const auto n = static_cast<NodeIndex>(space.node_count());
-  common::reserve_hugepages(alive_ids_, n);
+  alive_ids_.reserve(n);
   if (q == 0.0) {
     for (NodeIndex i = 0; i < n; ++i) {
       alive_ids_.push_back(i);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 
 namespace dht::sparse {
 
@@ -30,7 +29,7 @@ SparseIdSpace::SparseIdSpace(int bits, std::uint64_t node_count,
   // one or two rounds at real-world densities) and converges for any
   // density < 1 -- the resample loop is the coupon-collector tail the old
   // rejection sampler paid per draw.
-  common::reserve_hugepages(ids_, node_count);
+  ids_.reserve(node_count);
   while (ids_.size() < node_count) {
     while (ids_.size() < node_count) {
       ids_.push_back(rng.uniform_below(size));

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 
 namespace dht::sparse {
 
@@ -18,7 +17,6 @@ SparseSymphonyOverlay::SparseSymphonyOverlay(const SparseIdSpace& space,
   const std::uint64_t n = space.node_count();
   const std::uint64_t keys = space.key_space_size();
   const double log_range = std::log(static_cast<double>(keys - 1));
-  common::reserve_hugepages(shortcuts_, n * static_cast<std::uint64_t>(ks_));
   shortcuts_.resize(n * static_cast<std::uint64_t>(ks_));
   for (NodeIndex v = 0; v < n; ++v) {
     const sim::NodeId base = space.id_of(v);

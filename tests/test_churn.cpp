@@ -399,45 +399,54 @@ TEST(ChurnModel, RejectsBadParameters) {
                PreconditionError);
 }
 
-TEST(ChurnSimulator, AliveFractionTracksAvailability) {
+void step_rounds(ChurnWorld& world, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    world.step();
+  }
+}
+
+// XorChurnWorld: the single-world churn model -- XOR forwarding, lazy
+// refresh only (no eager repair), default hop cap.
+
+TEST(XorChurnWorld, AliveFractionTracksAvailability) {
   const sim::IdSpace space(12);
   const ChurnParams params{.death_per_round = 0.02,
                            .rebirth_per_round = 0.08,
                            .refresh_interval = 10};
   math::Rng rng(1);
-  ChurnSimulator simulator(space, params, rng);
-  simulator.run(100);
+  ChurnWorld world(TrajectoryGeometry::kXor, space, params, 0.0, 0, rng);
+  step_rounds(world, 100);
   // a = 0.8; N = 4096 => SE ~ 0.006 plus autocorrelation; 5x band.
-  EXPECT_NEAR(simulator.alive_fraction(), 0.8, 0.04);
-  EXPECT_EQ(simulator.round(), 100);
+  EXPECT_NEAR(world.alive_fraction(), 0.8, 0.04);
+  EXPECT_EQ(world.round(), 100);
 }
 
-TEST(ChurnSimulator, MeanEntryAgeMatchesUniformAssumption) {
+TEST(XorChurnWorld, MeanEntryAgeMatchesUniformAssumption) {
   // With lifetimes >> R, entry ages should hover near (R-1)/2.
   const sim::IdSpace space(12);
   const ChurnParams params{.death_per_round = 0.005,
                            .rebirth_per_round = 0.02,
                            .refresh_interval = 10};
   math::Rng rng(2);
-  ChurnSimulator simulator(space, params, rng);
-  simulator.run(60);
-  EXPECT_NEAR(simulator.mean_entry_age(), 4.5, 1.2);
+  ChurnWorld world(TrajectoryGeometry::kXor, space, params, 0.0, 0, rng);
+  step_rounds(world, 60);
+  EXPECT_NEAR(world.mean_entry_age(), 4.5, 1.2);
 }
 
-TEST(ChurnSimulator, PerfectStabilityRoutesEverything) {
+TEST(XorChurnWorld, PerfectStabilityRoutesEverything) {
   // Tiny churn, instant refresh: routability ~ 1.
   const sim::IdSpace space(10);
   const ChurnParams params{.death_per_round = 1e-6,
                            .rebirth_per_round = 0.5,
                            .refresh_interval = 1};
   math::Rng rng(3);
-  ChurnSimulator simulator(space, params, rng);
-  simulator.run(10);
-  const auto measured = simulator.measure_routability(3000, rng);
+  ChurnWorld world(TrajectoryGeometry::kXor, space, params, 0.0, 0, rng);
+  step_rounds(world, 10);
+  const auto measured = world.measure(3000, rng).routed;
   EXPECT_GT(measured.point(), 0.999);
 }
 
-TEST(ChurnSimulator, StaticModelAtEffectiveQPredictsChurnRoutability) {
+TEST(XorChurnWorld, StaticModelAtEffectiveQPredictsChurnRoutability) {
   // The headline: run the dynamic system, compare against the static XOR
   // analysis evaluated at q_eff.  Tolerance covers Eq. 6's documented knee
   // bias plus Monte-Carlo noise (the benchmark prints the full curves).
@@ -448,11 +457,11 @@ TEST(ChurnSimulator, StaticModelAtEffectiveQPredictsChurnRoutability) {
                              .rebirth_per_round = 0.08,
                              .refresh_interval = refresh};
     math::Rng rng(100 + static_cast<std::uint64_t>(refresh));
-    ChurnSimulator simulator(space, params, rng);
-    simulator.run(3 * refresh + 50);  // warm past several refresh cycles
+    ChurnWorld world(TrajectoryGeometry::kXor, space, params, 0.0, 0, rng);
+    // Warm past several refresh cycles.
+    step_rounds(world, 3 * refresh + 50);
     math::Rng measure_rng(4);
-    const double measured =
-        simulator.measure_routability(20000, measure_rng).point();
+    const double measured = world.measure(20000, measure_rng).routed.point();
     const double q_eff = effective_q(params);
     const double predicted =
         core::evaluate_routability(*xor_geo, space.bits(), q_eff)
@@ -466,7 +475,7 @@ TEST(ChurnSimulator, StaticModelAtEffectiveQPredictsChurnRoutability) {
   }
 }
 
-TEST(ChurnSimulator, SlowerRefreshLowersRoutability) {
+TEST(XorChurnWorld, SlowerRefreshLowersRoutability) {
   const sim::IdSpace space(12);
   double previous = 1.1;
   for (int refresh : {2, 10, 40}) {
@@ -474,11 +483,10 @@ TEST(ChurnSimulator, SlowerRefreshLowersRoutability) {
                              .rebirth_per_round = 0.07,
                              .refresh_interval = refresh};
     math::Rng rng(200 + static_cast<std::uint64_t>(refresh));
-    ChurnSimulator simulator(space, params, rng);
-    simulator.run(3 * refresh + 30);
+    ChurnWorld world(TrajectoryGeometry::kXor, space, params, 0.0, 0, rng);
+    step_rounds(world, 3 * refresh + 30);
     math::Rng measure_rng(5);
-    const double measured =
-        simulator.measure_routability(15000, measure_rng).point();
+    const double measured = world.measure(15000, measure_rng).routed.point();
     EXPECT_LT(measured, previous + 0.02) << "R=" << refresh;
     previous = measured;
   }

@@ -245,29 +245,22 @@ TEST(TaxonomyDeterminism, CountersIdenticalAcrossThreadCounts) {
   const SparseChurnConfig config{
       .bits = 24, .capacity = 1024, .successors = 3, .shortcuts = 4};
   for (const bool inflight : {false, true}) {
-    for (const bool batch : {true, false}) {
-      if (inflight && !batch) {
-        continue;  // in-flight is inherently scalar; batch flag ignored
-      }
-      std::vector<sparse::SparseEstimate> estimates;
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        TrajectoryOptions options{.warmup_rounds = 25,
-                                  .measured_rounds = 3,
-                                  .pairs_per_round = 400,
-                                  .shards = 8,
-                                  .threads = threads};
-        options.inflight = inflight;
-        options.batch_routes = batch;
-        const auto result = run_sparse_churn_trajectory(
-            SparseChurnGeometry::kChord, config, params, options,
-            math::Rng(4242));
-        estimates.push_back(result.overall);
-      }
-      const std::string what = std::string(inflight ? "inflight" : "sync") +
-                               (batch ? "/batched" : "/scalar");
-      expect_identical(estimates[0], estimates[1], what.c_str());
-      expect_identical(estimates[0], estimates[2], what.c_str());
+    std::vector<sparse::SparseEstimate> estimates;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      TrajectoryOptions options{.warmup_rounds = 25,
+                                .measured_rounds = 3,
+                                .pairs_per_round = 400,
+                                .shards = 8,
+                                .threads = threads};
+      options.inflight = inflight;
+      const auto result = run_sparse_churn_trajectory(
+          SparseChurnGeometry::kChord, config, params, options,
+          math::Rng(4242));
+      estimates.push_back(result.overall);
     }
+    const char* what = inflight ? "inflight" : "sync";
+    expect_identical(estimates[0], estimates[1], what);
+    expect_identical(estimates[0], estimates[2], what);
   }
 }
 

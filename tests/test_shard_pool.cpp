@@ -46,22 +46,40 @@ TEST(ShardPool, ZeroShardsIsANoOp) {
   EXPECT_EQ(calls, 0);
 }
 
+// Marks the pool's own failure point.  The throwing shard arms its
+// worker's sentinel; the worker stores the pool's `failed` flag before it
+// returns, and thread_local destructors run only after the thread function
+// returns, so once `visible` reads true the failure is visible to every
+// worker's next check.
+struct FailureSentinel {
+  std::atomic<bool>* visible = nullptr;
+  ~FailureSentinel() {
+    if (visible != nullptr) {
+      visible->store(true, std::memory_order_release);
+    }
+  }
+};
+thread_local FailureSentinel failure_sentinel;
+
 TEST(ShardPool, ThrowingShardPropagatesWithoutDeadlock) {
   // The original bug: workers claimed a new run BEFORE checking the failure
   // flag, so a failed sweep kept starting fresh shards.  This must (a) not
-  // deadlock, (b) rethrow the first exception, (c) stop claiming promptly.
+  // deadlock, (b) rethrow the first exception, (c) start no shard once the
+  // failure is visible.  A worker may have passed its check just before
+  // the failure became visible, so each of the other workers can still
+  // start one shard that sees the sentinel -- never a second.
   for (unsigned threads : {1u, 2u, 8u}) {
     const std::uint64_t shards = 10000;
     std::atomic<std::uint64_t> started{0};
     std::atomic<std::uint64_t> after_failure{0};
-    std::atomic<bool> thrown{false};
+    std::atomic<bool> failure_visible{false};
     const auto work = [&](std::uint64_t s) {
-      if (thrown.load(std::memory_order_acquire)) {
+      if (failure_visible.load(std::memory_order_acquire)) {
         after_failure.fetch_add(1, std::memory_order_relaxed);
       }
       started.fetch_add(1, std::memory_order_relaxed);
       if (s == 5) {
-        thrown.store(true, std::memory_order_release);
+        failure_sentinel.visible = &failure_visible;
         throw std::runtime_error("shard 5 exploded");
       }
     };
@@ -69,10 +87,18 @@ TEST(ShardPool, ThrowingShardPropagatesWithoutDeadlock) {
         run_sharded(shards, PoolOptions{.threads = threads, .chunk = 1}, work),
         std::runtime_error)
         << "threads=" << threads;
-    // In-flight shards may finish (one per surviving worker at most a
-    // chunk's worth); nothing close to the full sweep may run.
-    EXPECT_LT(started.load(), shards / 2) << "threads=" << threads;
-    EXPECT_LE(after_failure.load(), std::uint64_t{threads} * 64)
+    // The serial path runs on this thread: disarm its sentinel before
+    // `failure_visible` goes out of scope.
+    failure_sentinel.visible = nullptr;
+    if (threads == 1) {
+      EXPECT_EQ(started.load(std::memory_order_relaxed), 6u);
+      continue;
+    }
+    // The throwing worker has exited, so its sentinel has fired.
+    EXPECT_TRUE(failure_visible.load(std::memory_order_acquire))
+        << "threads=" << threads;
+    EXPECT_LE(after_failure.load(std::memory_order_relaxed),
+              std::uint64_t{threads} - 1)
         << "threads=" << threads;
   }
 }
@@ -101,18 +127,6 @@ TEST(ShardPool, ShardOrderMergeIsThreadCountInvariant) {
   const std::uint64_t one = run(1);
   EXPECT_EQ(run(2), one);
   EXPECT_EQ(run(8), one);
-}
-
-TEST(ShardPool, PinWorkersIsBestEffortAndHarmless) {
-  // Pinning must never change results or fail where unsupported.
-  std::vector<std::atomic<int>> hits(64);
-  run_sharded(64, PoolOptions{.threads = 4, .pin_workers = true},
-              [&](std::uint64_t s) {
-                hits[s].fetch_add(1, std::memory_order_relaxed);
-              });
-  for (auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
 }
 
 TEST(ShardPool, ResolveThreads) {
