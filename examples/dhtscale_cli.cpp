@@ -284,9 +284,9 @@ int cmd_sparse(const std::string& name, int bits, std::uint64_t n, double q,
               << "\n";
     return 1;
   }
-  if (cache_entries < 0) {
-    std::cerr << "sparse: --cache must be >= 0, got " << cache_entries
-              << "\n";
+  if (cache_entries < 0 || cache_entries > 1024) {
+    std::cerr << "sparse: --cache must be in [0, 1024], got "
+              << cache_entries << "\n";
     return 1;
   }
   math::Rng rng(seed);

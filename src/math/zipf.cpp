@@ -7,24 +7,37 @@
 
 namespace dht::math {
 
-ZipfSampler::ZipfSampler(std::uint64_t n, double s) : s_(s) {
+ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+    : ZipfSampler(n, s, [](std::uint64_t count, const auto& fill) {
+        fill(std::uint64_t{0}, count);
+      }) {}
+
+std::uint64_t ZipfSampler::checked_ranks(std::uint64_t n, double s) {
   DHT_CHECK(n >= 1, "zipf sampler needs at least one rank");
   DHT_CHECK(n <= (std::uint64_t{1} << 26),
             "zipf sampler rank count exceeds the 2^26 population cap");
   DHT_CHECK(std::isfinite(s) && s >= 0.0,
             "zipf skew must be finite and >= 0");
-  cdf_.resize(n);
-  // Partial sums of (r + 1)^-s, normalized in a second pass.  Built once
+  return n;
+}
+
+void ZipfSampler::fill_terms(std::uint64_t begin, std::uint64_t end) {
+  for (std::uint64_t r = begin; r < end; ++r) {
+    cdf_[r] = s_ == 0.0 ? 1.0 : std::pow(static_cast<double>(r + 1), -s_);
+  }
+}
+
+void ZipfSampler::accumulate() {
+  // Partial sums of the terms, normalized in a second pass.  Built once
   // per sampler from (n, s) alone -- every consumer sees the same table, so
   // inversion results depend only on the drawn u.
   double total = 0.0;
-  for (std::uint64_t r = 0; r < n; ++r) {
-    total += s == 0.0 ? 1.0
-                      : std::pow(static_cast<double>(r + 1), -s);
-    cdf_[r] = total;
+  for (double& term : cdf_) {
+    total += term;
+    term = total;
   }
-  for (std::uint64_t r = 0; r < n; ++r) {
-    cdf_[r] /= total;
+  for (double& partial : cdf_) {
+    partial /= total;
   }
   cdf_.back() = 1.0;  // guard the top interval against rounding
 }

@@ -25,8 +25,25 @@ class ZipfSampler {
   /// 1 <= n <= 2^26, s >= 0 and finite.
   ZipfSampler(std::uint64_t n, double s);
 
+  /// The same table with the (r + 1)^-s terms filled by
+  /// `for_each_block(n, fill)`, which must call fill(begin, end) once per
+  /// block of a partition of [0, n), possibly from several threads.  Each
+  /// term lands in its own slot and the prefix sum stays serial in rank
+  /// order, so the table is bit-identical to the serial constructor's.
+  template <typename ForEachBlock>
+  ZipfSampler(std::uint64_t n, double s, const ForEachBlock& for_each_block)
+      : s_(s), cdf_(checked_ranks(n, s)) {
+    for_each_block(n, [this](std::uint64_t begin, std::uint64_t end) {
+      fill_terms(begin, end);
+    });
+    accumulate();
+  }
+
   std::uint64_t ranks() const noexcept { return cdf_.size(); }
   double skew() const noexcept { return s_; }
+
+  /// The table: cdf()[r] = P(rank <= r), cdf().back() == 1.
+  const std::vector<double>& cdf() const noexcept { return cdf_; }
 
   /// P(rank = r); exact to the table's normalization.
   double probability(std::uint64_t rank) const;
@@ -44,6 +61,13 @@ class ZipfSampler {
   std::uint64_t invert(double u) const;
 
  private:
+  /// Validates (n, s) and returns n.
+  static std::uint64_t checked_ranks(std::uint64_t n, double s);
+  /// cdf_[r] = (r + 1)^-s for r in [begin, end).
+  void fill_terms(std::uint64_t begin, std::uint64_t end);
+  /// Serial in-place prefix sum and normalization of the terms.
+  void accumulate();
+
   double s_ = 0.0;
   std::vector<double> cdf_;  // cdf_[r] = P(rank <= r), cdf_.back() == 1
 };

@@ -108,6 +108,19 @@ void run_sharded(std::uint64_t shards, unsigned threads, Work&& work) {
               std::forward<Work>(work));
 }
 
+/// Runs body(begin, end) over [0, count) split into fixed blocks of `block`
+/// indices, one shard per block.  The blocks do not depend on the thread
+/// count, so a body that writes only its own indices fills the same table
+/// as the serial loop.  Used for the per-call tables the engines build
+/// before routing (sparse/flat_sparse.cpp's workload tables).
+template <typename Body>
+void run_blocks(std::uint64_t count, std::uint64_t block, unsigned threads,
+                const Body& body) {
+  run_sharded((count + block - 1) / block, threads, [&](std::uint64_t k) {
+    body(k * block, std::min(count, (k + 1) * block));
+  });
+}
+
 /// Resolves a requested worker count (0 = hardware concurrency, at least 1).
 inline unsigned resolve_threads(unsigned requested) {
   if (requested != 0) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -71,6 +73,13 @@ FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
 
 namespace {
 
+// Path-cache slot fields (FlatSparseCtx::cache): (epoch tag << 26) | rank.
+// Ranks are below the 2^26 object cap, which leaves 6 bits for the tag;
+// tag 0 marks a never-written slot and is never a shard's epoch.
+constexpr int kCacheTagShift = 26;
+constexpr std::uint32_t kCacheTagPeriod = std::uint32_t{1}
+                                          << (32 - kCacheTagShift);
+
 inline void record(SparseEstimate& estimate, SparseRouteStatus status,
                    int hops) {
   record_route(estimate, status, static_cast<std::uint64_t>(hops));
@@ -128,26 +137,29 @@ void drive_lanes(const FlatSparseCtx& c, PairSource& pair_source,
   // Probes lane l's object in its current node's cache row.  True on a
   // hit: the holder forwards straight to the cached owner (one hop, load
   // accounted), and the settle loop re-checks the lane -- which then
-  // records the arrival.  The cached value always equals the object's
-  // owner (the lane's target), so a hit can never misroute.
+  // records the arrival.  A slot caches only the object's rank: the owner
+  // it maps to is the object's owner, i.e. the lane's target, so a hit can
+  // never misroute.  A slot from an earlier epoch never matches, so it
+  // misses and is overwritten exactly like an empty one.
   const auto probe = [&](int l) -> bool {
     if (c.cache == nullptr || b.rank[l] == kNoRank) {
       return false;
     }
     const std::uint64_t entries =
         static_cast<std::uint64_t>(c.cache_entries);
-    std::uint64_t& slot = c.cache[b.cur[l] * entries + b.rank[l] % entries];
+    std::uint32_t& slot = c.cache[b.cur[l] * entries + b.rank[l] % entries];
+    const std::uint32_t key = c.cache_tag | b.rank[l];
     ++estimate.cache_probes;
-    if (static_cast<std::uint32_t>(slot >> 32) == b.rank[l]) {
+    if (slot == key) {
       ++estimate.cache_hits;
       if (c.load != nullptr) {
         c.load[b.cur[l]].fetch_add(1, std::memory_order_relaxed);
       }
-      b.cur[l] = static_cast<NodeIndex>(slot);
+      b.cur[l] = b.target[l];
       b.hops[l] += 1;
       return true;
     }
-    slot = (static_cast<std::uint64_t>(b.rank[l]) << 32) | b.target[l];
+    slot = key;
     return false;
   };
   // Retires and refills lane l until it is steppable (mid-route with a
@@ -342,6 +354,50 @@ struct GenericStepBatch {
   }
 };
 
+// Path-cache buffers for one estimate call, reused across its shards.  A
+// worker thread holds at most one buffer at a time, so at most `threads`
+// buffers ever exist, each zeroed once when allocated.  acquire() opens a
+// new epoch on the buffer, so the shard sees it as all-empty without a
+// clear; only a wrapped tag forces one real clear.
+class PathCachePool {
+ public:
+  struct Buffer {
+    std::unique_ptr<std::uint32_t[]> slots;
+    std::uint32_t epoch = 0;  // current tag; 0 = never handed out
+  };
+
+  explicit PathCachePool(std::uint64_t slots) : slots_(slots) {}
+
+  Buffer acquire() {
+    Buffer buffer;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        buffer = std::move(free_.back());
+        free_.pop_back();
+      }
+    }
+    if (buffer.slots == nullptr) {
+      buffer.slots = std::make_unique<std::uint32_t[]>(slots_);
+    }
+    if (++buffer.epoch == kCacheTagPeriod) {
+      std::fill_n(buffer.slots.get(), slots_, 0);
+      buffer.epoch = 1;
+    }
+    return buffer;
+  }
+
+  void release(Buffer buffer) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(buffer));
+  }
+
+ private:
+  std::uint64_t slots_;
+  std::mutex mutex_;
+  std::vector<Buffer> free_;  // guarded by mutex_
+};
+
 template <typename PairSource>
 void run_lanes(const FlatSparseCtx& c, const SparseOverlay& overlay,
                const SparseFailure& failures, PairSource& pair_source,
@@ -398,10 +454,11 @@ SparseWorkloadReport estimate_workload_parallel(
   DHT_CHECK(options.pairs > 0, "at least one pair must be sampled");
   const SparseWorkloadOptions& wl = options.workload;
   DHT_CHECK(std::isfinite(wl.zipf_s) && wl.zipf_s >= 0.0,
-            "workload zipf skew must be finite and >= 0");
-  DHT_CHECK(wl.cache_entries >= 0, "cache entries must be >= 0");
+            "workload zipf_s must be finite and >= 0");
+  DHT_CHECK(wl.cache_entries >= 0 && wl.cache_entries <= 1024,
+            "workload cache_entries must be in [0, 1024]");
   DHT_CHECK(wl.objects <= (std::uint64_t{1} << 26),
-            "workload object count exceeds the 2^26 population cap");
+            "workload objects exceeds the 2^26 population cap");
   // Observability is a timing side-channel: null sinks (the default) read
   // no clock, shard profiles reduce in shard order, and nothing here
   // feeds back into the estimates.
@@ -417,24 +474,34 @@ SparseWorkloadReport estimate_workload_parallel(
   // so the object placement is a property of the space alone); the owner
   // is the key's successor, walked clockwise past dead nodes -- the
   // consistent-hashing reassignment a real DHT performs on failure.
+  // Both tables are filled block-parallel; every entry is a pure function
+  // of its index, so they match the serial build bit for bit.
+  const unsigned threads = sim::resolve_threads(options.threads);
+  constexpr std::uint64_t kTableBlock = std::uint64_t{1} << 14;
   flat::WorkloadTables tables;
   std::optional<math::ZipfSampler> zipf;
   std::vector<NodeIndex> owner;
   if (wl.enabled()) {
     const std::uint64_t objects =
         wl.objects != 0 ? wl.objects : failures.alive_count();
-    zipf.emplace(objects, wl.zipf_s);
+    zipf.emplace(objects, wl.zipf_s, [&](std::uint64_t count,
+                                         const auto& fill) {
+      sim::run_blocks(count, kTableBlock, threads, fill);
+    });
     const SparseIdSpace& space = overlay.space();
     const math::CounterRng object_keys(0xb10c9a3f0b173c75ULL);
     owner.resize(objects);
-    for (std::uint64_t o = 0; o < objects; ++o) {
-      NodeIndex holder =
-          space.successor_of_key(object_keys.at(o) & ctx.key_mask);
-      while (!failures.alive(holder)) {
-        holder = space.ring_step(holder, 1);
+    sim::run_blocks(objects, kTableBlock, threads, [&](std::uint64_t begin,
+                                                       std::uint64_t end) {
+      for (std::uint64_t o = begin; o < end; ++o) {
+        NodeIndex holder =
+            space.successor_of_key(object_keys.at(o) & ctx.key_mask);
+        while (!failures.alive(holder)) {
+          holder = space.ring_step(holder, 1);
+        }
+        owner[o] = holder;
       }
-      owner[o] = holder;
-    }
+    });
     tables.zipf = &*zipf;
     tables.owner = owner.data();
     ctx.cache_entries = wl.cache_entries;
@@ -458,9 +525,10 @@ SparseWorkloadReport estimate_workload_parallel(
 
   std::vector<SparseEstimate> results(shards);
   std::vector<obs::PhaseProfile> shard_profiles(observed ? shards : 0);
+  flat::PathCachePool caches(
+      ctx.n * static_cast<std::uint64_t>(ctx.cache_entries));
   sim::run_sharded(
-      shards,
-      sim::resolve_threads(options.threads), [&](std::uint64_t s) {
+      shards, threads, [&](std::uint64_t s) {
         obs::PhaseTimer route_timer(observed ? &shard_profiles[s] : nullptr,
                                     obs::Phase::kRoute, options.trace);
         // Shard s is a pure function of (caller seed, s): fork a private
@@ -469,17 +537,17 @@ SparseWorkloadReport estimate_workload_parallel(
         const math::Rng shard_rng = rng.fork(s);
         const std::uint64_t pairs = base + (s < extra ? 1 : 0);
         flat::FlatSparseCtx local = ctx;
-        // Shard-private path cache (empty slots are all-ones): hits are a
-        // pure function of the shard's lane schedule, so the estimate
-        // stays bit-identical at any thread count.  Only ~thread-count
-        // caches are live at once, so the n * entries footprint never
-        // multiplies by the shard count.
-        std::vector<std::uint64_t> cache;
+        // Shard-private path cache: the worker's reused buffer under a
+        // fresh epoch tag, which reads as all-empty, so hits are a pure
+        // function of the shard's lane schedule and the estimate stays
+        // bit-identical at any thread count.  At most one buffer per
+        // worker exists: the footprint is threads x n x entries x 4 B,
+        // never multiplied by the shard count.
+        flat::PathCachePool::Buffer cache;
         if (local.cache_entries > 0) {
-          cache.assign(local.n * static_cast<std::uint64_t>(
-                                     local.cache_entries),
-                       ~std::uint64_t{0});
-          local.cache = cache.data();
+          cache = caches.acquire();
+          local.cache = cache.slots.get();
+          local.cache_tag = cache.epoch << flat::kCacheTagShift;
         }
         flat::LanePairSource source(local, failures, shard_rng, pairs,
                                     tables.zipf != nullptr ? &tables
@@ -487,6 +555,9 @@ SparseWorkloadReport estimate_workload_parallel(
         SparseEstimate estimate;
         flat::run_lanes(local, overlay, failures, source, estimate);
         results[s] = estimate;
+        if (cache.slots != nullptr) {
+          caches.release(std::move(cache));
+        }
       });
 
   SparseWorkloadReport report;

@@ -116,12 +116,18 @@ struct FlatSparseCtx {
   std::atomic<std::uint64_t>* load = nullptr;
   // Per-SHARD finger-path cache of popular objects: node v's row of
   // `cache_entries` direct-mapped slots at cache[v * cache_entries ..],
-  // each slot one u64 (object rank << 32) | owner index, empty = ~0.
+  // each slot one u32 (epoch tag << 26) | object rank.  The owner a slot
+  // maps to is the object's owner, so only the rank is stored.  A slot
+  // whose tag is not the shard's epoch (`cache_tag`, pre-shifted) reads as
+  // empty, so a worker thread reuses one buffer for every shard it runs
+  // without clearing it, and the shard's cache behaves exactly like an
+  // all-empty one.  Footprint: threads x n x entries x 4 B.
   // Shard-private (set on a per-shard ctx copy) so the warm-up trajectory
   // is a pure function of the shard's deterministic lane schedule --
   // shared cache state would make hits depend on thread interleaving.
-  std::uint64_t* cache = nullptr;
+  std::uint32_t* cache = nullptr;
   int cache_entries = 0;
+  std::uint32_t cache_tag = 0;
 };
 
 /// Lane rank sentinel: the route targets a uniformly drawn node, not a
@@ -631,8 +637,8 @@ struct SparseWorkloadOptions {
   double zipf_s = 0.0;
   /// Distinct objects (0 = one per alive node).  Capped at 2^26.
   std::uint64_t objects = 0;
-  /// Per-node direct-mapped path-cache slots (0 = caching off).  A probe
-  /// hit forwards straight to the cached owner in one hop.
+  /// Per-node direct-mapped path-cache slots (0 = caching off, at most
+  /// 1024).  A probe hit forwards straight to the cached owner in one hop.
   int cache_entries = 0;
   /// Record messages forwarded per node (one shared atomic counter array;
   /// see flat::FlatSparseCtx::load).  Works with or without the object

@@ -5,15 +5,21 @@
 // test_flat_sparse: fixed shards, varying thread counts, exact equality.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "churn/sparse_trajectory.hpp"
+#include "common/check.hpp"
 #include "math/rng.hpp"
 #include "math/zipf.hpp"
 #include "sim/load_stats.hpp"
+#include "sim/shard_pool.hpp"
 #include "sparse/flat_sparse.hpp"
 #include "sparse/sparse_chord.hpp"
 
@@ -59,6 +65,57 @@ TEST(Zipf, DeterministicAcrossEqualStreams) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(zipf.sample(a), zipf.sample(b));
   }
+}
+
+// The serial definition of the table: partial sums of (r + 1)^-s in rank
+// order, normalized, top entry pinned to 1.
+std::vector<double> serial_zipf_cdf(std::uint64_t n, double s) {
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (std::uint64_t r = 0; r < n; ++r) {
+    total += s == 0.0 ? 1.0 : std::pow(static_cast<double>(r + 1), -s);
+    cdf[r] = total;
+  }
+  for (double& c : cdf) {
+    c /= total;
+  }
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+TEST(Zipf, TableMatchesSerialReference) {
+  const auto pooled = [](std::uint64_t n, double s) {
+    // Small blocks on 4 threads: many blocks, filled out of order.
+    return math::ZipfSampler(n, s, [](std::uint64_t count, const auto& fill) {
+      sim::run_blocks(count, 1000, 4, fill);
+    });
+  };
+  for (const auto& [n, s] : {std::pair<std::uint64_t, double>{100003, 1.1},
+                             std::pair<std::uint64_t, double>{5, 0.0}}) {
+    const math::ZipfSampler zipf = pooled(n, s);
+    const std::vector<double> reference = serial_zipf_cdf(n, s);
+    ASSERT_EQ(zipf.cdf().size(), reference.size());
+    for (std::uint64_t r = 0; r < n; ++r) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(zipf.cdf()[r]),
+                std::bit_cast<std::uint64_t>(reference[r]))
+          << "n " << n << " s " << s << " rank " << r;
+    }
+    EXPECT_TRUE(zipf.cdf() == math::ZipfSampler(n, s).cdf());
+  }
+  const math::ZipfSampler skewed = pooled(100003, 1.1);
+  EXPECT_EQ(skewed.invert(0.0), 0u);
+  EXPECT_EQ(skewed.invert(0.25), 3u);
+  EXPECT_EQ(skewed.invert(0.5), 41u);
+  EXPECT_EQ(skewed.invert(0.75), 987u);
+  EXPECT_EQ(skewed.invert(0.9), 12143u);
+  EXPECT_EQ(skewed.invert(0.99), 79296u);
+  EXPECT_EQ(skewed.invert(0.999999), 100000u);
+  const math::ZipfSampler flat = pooled(5, 0.0);
+  EXPECT_EQ(flat.invert(0.0), 0u);
+  EXPECT_EQ(flat.invert(0.2), 1u);  // cdf[0] == 0.2 exactly: not > u
+  EXPECT_EQ(flat.invert(0.39), 1u);
+  EXPECT_EQ(flat.invert(0.6), 3u);
+  EXPECT_EQ(flat.invert(0.999), 4u);
 }
 
 TEST(LoadSummary, ExactDigestAndFilter) {
@@ -122,6 +179,74 @@ TEST(Workload, BitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(one.load == eight.load);
   EXPECT_GT(one.estimate.cache_probes, 0u);
   EXPECT_GT(one.load.total, 0u);
+}
+
+TEST(Workload, CacheBufferReuseIsInvisible) {
+  // 64 shards on at most 8 workers: every worker reuses its path-cache
+  // buffer across shards, each under a fresh epoch tag.  A stale slot
+  // leaking into a later shard would add hits that depend on which shards
+  // shared a buffer, i.e. on the thread count.
+  const auto inst = make_chord(22, 3000, 961);
+  math::Rng fail_rng(962);
+  const SparseFailure failures(*inst.space, 0.1, fail_rng);
+  const math::Rng engine_rng(963);
+  const auto run = [&](unsigned threads, std::uint64_t shards,
+                       std::uint64_t pairs) {
+    SparseParallelOptions options = workload_options(threads);
+    options.shards = shards;
+    options.pairs = pairs;
+    return estimate_workload_parallel(*inst.overlay, failures, options,
+                                      engine_rng);
+  };
+  const SparseWorkloadReport one = run(1, 64, 40000);
+  for (const unsigned threads : {3u, 8u}) {
+    const SparseWorkloadReport many = run(threads, 64, 40000);
+    EXPECT_TRUE(one.estimate == many.estimate) << threads << " threads";
+    EXPECT_TRUE(one.load == many.load) << threads << " threads";
+  }
+  EXPECT_GT(one.estimate.cache_hits, 0u);
+
+  // More shards than the 6-bit tag period (63 epochs per buffer): the
+  // single worker's buffer wraps its tag three times, each wrap one real
+  // clear; eight workers wrap less often or never.
+  const SparseWorkloadReport wrapped = run(1, 200, 40000);
+  const SparseWorkloadReport spread = run(8, 200, 40000);
+  EXPECT_TRUE(wrapped.estimate == spread.estimate);
+  EXPECT_TRUE(wrapped.load == spread.load);
+  EXPECT_GT(wrapped.estimate.cache_hits, 0u);
+}
+
+TEST(Workload, RejectsBadOptions) {
+  const auto inst = make_chord(16, 200, 971);
+  math::Rng fail_rng(972);
+  const SparseFailure failures(*inst.space, 0.0, fail_rng);
+  const math::Rng engine_rng(973);
+  const auto rejects = [&](const SparseWorkloadOptions& workload,
+                           const char* field) {
+    SparseParallelOptions options;
+    options.pairs = 100;
+    options.workload = workload;
+    try {
+      estimate_workload_parallel(*inst.overlay, failures, options,
+                                 engine_rng);
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects({.zipf_s = std::numeric_limits<double>::quiet_NaN()}, "zipf_s");
+  rejects({.zipf_s = -0.5}, "zipf_s");
+  rejects({.zipf_s = 1.0, .cache_entries = -1}, "cache_entries");
+  rejects({.zipf_s = 1.0, .cache_entries = 1025}, "cache_entries");
+  rejects({.zipf_s = 1.0, .objects = (std::uint64_t{1} << 26) + 1},
+          "objects");
+  // The boundary values are accepted.
+  SparseParallelOptions options;
+  options.pairs = 100;
+  options.workload = {.zipf_s = 1.0, .cache_entries = 1024};
+  EXPECT_NO_THROW(estimate_workload_parallel(*inst.overlay, failures,
+                                             options, engine_rng));
 }
 
 TEST(Workload, LoadConservationWithoutFailures) {
