@@ -8,9 +8,13 @@ background load).  This runner de-confounds it the standard way:
  * A and B run INTERLEAVED (A B A B ...), so slow drift hits both arms
    about equally instead of landing on whichever ran second.
  * Each arm runs `--repeats` times and every metric keeps its BEST
-   (maximum throughput / minimum seconds) across repeats -- best-of-N is
-   the usual estimator for the noise-free cost of a deterministic
-   workload, since interference can only ever make a run slower.
+   across repeats -- the minimum for seconds (metric names ending in
+   `seconds` or `_s`), the maximum for anything else (throughput).
+   Best-of-N is the usual estimator for the noise-free cost of a
+   deterministic workload, since interference can only ever make a run
+   slower.  Every repeat's value is kept too, and each arm's median and
+   interquartile range (IQR) are reported next to best-of-N, so a claimed
+   speedup can be read against the spread of the runs.
  * Rows are paired by (section, key columns) within each run, the same
    discipline as check_jsonl_determinism.py, and the speedup reported per
    row plus as a geometric mean over the selected rows.
@@ -24,7 +28,9 @@ Usage:
 The A/B binaries run with identical arguments.  --filter restricts the
 compared rows (e.g. --filter inflight=false keeps only sync-mode rows).
 Output: a human summary on stderr and one JSON record on stdout (or to
---out), with per-row best metrics for both arms and the geomean speedup.
+--out), with per-row best, median, IQR and every repeat's value for both
+arms, and the geomean speedup.  Speedups are > 1 when B is better: B/A for
+higher-is-better metrics, A/B for seconds.
 Exit status: 0 on success, 1 if no rows matched or a run failed.
 """
 
@@ -76,6 +82,34 @@ def parse_rows(stdout, section, filters, ignored):
     return rows
 
 
+def lower_is_better(metric):
+    """Seconds columns (`build_seconds`, `phase_route_s`, ...) improve
+    downwards; every other metric (throughput) improves upwards."""
+    return metric.endswith("seconds") or metric.endswith("_s")
+
+
+def quantile(sorted_values, q):
+    """Linear-interpolation quantile of an ascending list (the inclusive
+    method: q = 0 and q = 1 are the extremes)."""
+    pos = q * (len(sorted_values) - 1)
+    lo = math.floor(pos)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (
+        pos - lo)
+
+
+def summarize(values, lower):
+    """Best-of-N (in the metric's direction), median and IQR of one arm's
+    repeats."""
+    ordered = sorted(values)
+    return {
+        "best": ordered[0] if lower else ordered[-1],
+        "median": quantile(ordered, 0.5),
+        "iqr": quantile(ordered, 0.75) - quantile(ordered, 0.25),
+        "values": list(values),
+    }
+
+
 def run_arm(binary, args):
     proc = subprocess.run([binary] + args, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -92,7 +126,8 @@ def main():
     ap.add_argument("--args", default="", help="arguments for both arms")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--metric", default="routes_per_sec",
-                    help="row metric to compare (higher is better)")
+                    help="row metric to compare (lower is better when the "
+                         "name ends in 'seconds' or '_s', else higher)")
     ap.add_argument("--section", default="",
                     help="keep only rows of this JSONL section")
     ap.add_argument("--filter", action="append", default=[],
@@ -111,7 +146,8 @@ def main():
     ignored = frozenset(opts.ignore)
     args = opts.args.split()
 
-    best = {"a": {}, "b": {}}
+    lower = lower_is_better(opts.metric)
+    values = {"a": {}, "b": {}}
     for repeat in range(max(1, opts.repeats)):
         # Interleave the arms so machine drift is shared, not attributed.
         for arm, binary in (("a", opts.a), ("b", opts.b)):
@@ -124,37 +160,46 @@ def main():
                 metric = row.get(opts.metric)
                 if not isinstance(metric, (int, float)):
                     continue
-                kept = best[arm].get(key)
-                if kept is None or metric > kept["metric"]:
-                    best[arm][key] = {"metric": metric, "row": row}
+                values[arm].setdefault(key, []).append(metric)
 
-    shared = sorted(set(best["a"]) & set(best["b"]))
+    shared = sorted(set(values["a"]) & set(values["b"]))
     if not shared:
         sys.stderr.write("FAIL: no comparable rows between the arms\n")
         return 1
     records = []
     log_sum = 0.0
     for key in shared:
-        a = best["a"][key]["metric"]
-        b = best["b"][key]["metric"]
-        speedup = b / a if a > 0 else float("inf")
+        a = summarize(values["a"][key], lower)
+        b = summarize(values["b"][key], lower)
+        # > 1 when B is better: A/B for seconds, B/A for throughput.
+        num, den = (a["best"], b["best"]) if lower else (b["best"], a["best"])
+        speedup = num / den if den > 0 else float("inf")
         log_sum += math.log(speedup)
-        row = best["b"][key]["row"]
         records.append({
             "key": {f: v for f, v in key},
-            "baseline": a,
-            "candidate": b,
+            "baseline": a["best"],
+            "candidate": b["best"],
             "speedup": speedup,
+            "baseline_median": a["median"],
+            "baseline_iqr": a["iqr"],
+            "baseline_values": a["values"],
+            "candidate_median": b["median"],
+            "candidate_iqr": b["iqr"],
+            "candidate_values": b["values"],
         })
         label = " ".join(f"{f}={v}" for f, v in key)
         sys.stderr.write(
-            f"[perf_ab] {label}: {a:.1f} -> {b:.1f} ({speedup:.3f}x)\n")
+            f"[perf_ab] {label}: best {a['best']:.4g} -> {b['best']:.4g} "
+            f"({speedup:.3f}x); median {a['median']:.4g} "
+            f"(IQR {a['iqr']:.3g}) -> {b['median']:.4g} "
+            f"(IQR {b['iqr']:.3g})\n")
     geomean = math.exp(log_sum / len(shared))
     sys.stderr.write(f"[perf_ab] geomean speedup over {len(shared)} rows: "
                      f"{geomean:.3f}x\n")
     record = {
         "bench": "perf_ab",
         "metric": opts.metric,
+        "better": "lower" if lower else "higher",
         "section": opts.section or None,
         "filters": [f"{k}={v}" for k, v in filters],
         "ignored_key_fields": sorted(ignored),

@@ -1,88 +1,111 @@
 #include "sparse/sparse_chord.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.hpp"
 
 namespace dht::sparse {
 
+namespace {
+
+/// One forward-only successor cursor per finger level.  Positions live on
+/// the doubled ring: index j < n is node j, index j >= n stands for node
+/// j - n one lap on (identifier ids[j - n] + 2^d).  For level i the key
+/// id(v) + 2^{d-i} grows with v, so its successor position never moves
+/// back as v sweeps 0..n-1 -- each cursor crosses at most 2n positions
+/// over the whole build.
+class FingerSweep {
+ public:
+  explicit FingerSweep(const SparseIdSpace& space)
+      : ids_(space.ids().data()),
+        n_(space.node_count()),
+        bits_(space.bits()),
+        lap_(space.key_space_size()),
+        cursor_(static_cast<std::size_t>(space.bits()), 0) {}
+
+  /// Calls emit(progress, target) for node v's distinct fingers in
+  /// decreasing-progress order, self-links dropped.  Must be called for
+  /// v = 0, 1, ..., n-1 in turn.
+  template <typename Emit>
+  void row(NodeIndex v, Emit&& emit) {
+    const std::uint64_t base = ids_[v];
+    const std::uint64_t self = v + n_;  // v one lap on: the self-link
+    std::uint64_t previous = self;
+    for (int i = 1; i <= bits_; ++i) {
+      // Unwrapped key: < 2^d + 2^{d-1}, always below position v + n's
+      // identifier id(v) + 2^d, so the cursor stops at or before `self`.
+      const std::uint64_t key = base + (std::uint64_t{1} << (bits_ - i));
+      std::uint64_t& j = cursor_[static_cast<std::size_t>(i - 1)];
+      while (at(j) < key) {
+        ++j;
+      }
+      // Positions along a row never increase (the offsets halve), so
+      // collapsed fingers are adjacent and the row comes out sorted.
+      if (j == previous) {
+        continue;
+      }
+      previous = j;
+      emit(at(j) - base, static_cast<NodeIndex>(j < n_ ? j : j - n_));
+    }
+  }
+
+ private:
+  std::uint64_t at(std::uint64_t j) const noexcept {
+    return j < n_ ? ids_[j] : ids_[j - n_] + lap_;
+  }
+
+  const sim::NodeId* ids_;
+  std::uint64_t n_;
+  int bits_;
+  std::uint64_t lap_;
+  std::vector<std::uint64_t> cursor_;
+};
+
+}  // namespace
+
 SparseChordOverlay::SparseChordOverlay(const SparseIdSpace& space)
     : space_(&space) {
   const int d = space.bits();
   const std::uint64_t n = space.node_count();
-  const std::uint64_t size = space.key_space_size();
-  const std::uint64_t mask = size - 1;
-  fingers_.resize(n * static_cast<std::uint64_t>(d));
-  // First pass: distinct fingers per node, CSR-compressed into temporaries.
-  std::vector<std::uint64_t> offsets;
-  std::vector<std::uint64_t> progress_csr;
-  std::vector<NodeIndex> targets_csr;
-  offsets.reserve(n + 1);
-  offsets.push_back(0);
-  std::vector<std::pair<std::uint64_t, NodeIndex>> row;
-  row.reserve(static_cast<std::size_t>(d));
+  // Lengths pass: distinct non-self fingers per node give the stride.
+  route_lens_.resize(n);
   std::uint64_t widest = 1;
-  for (NodeIndex v = 0; v < n; ++v) {
-    const sim::NodeId base = space.id_of(v);
-    row.clear();
-    for (int i = 1; i <= d; ++i) {
-      const sim::NodeId key =
-          (base + (std::uint64_t{1} << (d - i))) & mask;
-      const NodeIndex f = space.successor_of_key(key);
-      fingers_[v * static_cast<std::uint64_t>(d) +
-               static_cast<std::uint64_t>(i - 1)] = f;
-      if (f != v) {
-        row.emplace_back((space.id_of(f) - base) & mask, f);
-      }
+  {
+    FingerSweep sweep(space);
+    for (NodeIndex v = 0; v < n; ++v) {
+      std::uint64_t len = 0;
+      sweep.row(v, [&](std::uint64_t, NodeIndex) { ++len; });
+      route_lens_[v] = static_cast<std::uint8_t>(len);
+      widest = std::max(widest, len);
     }
-    // Distinct fingers sorted by decreasing progress; equal progress means
-    // the same identifier, i.e. the same node, so dedup drops exactly the
-    // fingers that collapsed onto one successor.
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    for (const auto& [progress, target] : row) {
-      progress_csr.push_back(progress);
-      targets_csr.push_back(target);
-    }
-    offsets.push_back(progress_csr.size());
-    widest = std::max<std::uint64_t>(widest, row.size());
   }
-  // Second pass: repack into fixed-stride rows, padded with (0, kNoNode).
-  // Real entries always have progress > 0 (self-links were dropped above),
-  // so pads never look admissible and mark the end of a row.  Stride
-  // rounded to a whole number of 64-byte lines keeps rows line-aligned.
+  // Fill pass into fixed-stride rows, padded with (0, kNoNode).  Real
+  // entries always have progress > 0 (self-links are dropped), so pads
+  // never look admissible and mark the end of a row.  Stride rounded to a
+  // whole number of 64-byte lines keeps rows line-aligned.
   route_stride_ = static_cast<int>((widest + 7) & ~std::uint64_t{7});
   const std::uint64_t stride = static_cast<std::uint64_t>(route_stride_);
-  route_lens_.resize(n);
-  for (NodeIndex v = 0; v < n; ++v) {
-    route_lens_[v] = static_cast<std::uint8_t>(offsets[v + 1] - offsets[v]);
-  }
+  FingerSweep sweep(space);
   if (d <= 32) {
     // Packed shape: (progress << 32) | target per entry; pad is
     // (0 << 32) | kNoNode, below every admissibility key.
     route_packed_.assign(n * stride, std::uint64_t{kNoNode});
     for (NodeIndex v = 0; v < n; ++v) {
-      const std::uint64_t lo = offsets[v];
-      const std::uint64_t len = offsets[v + 1] - lo;
-      for (std::uint64_t e = 0; e < len; ++e) {
-        route_packed_[v * stride + e] =
-            (progress_csr[lo + e] << 32) | targets_csr[lo + e];
-      }
+      std::uint64_t* out = route_packed_.data() + v * stride;
+      sweep.row(v, [&](std::uint64_t progress, NodeIndex target) {
+        *out++ = (progress << 32) | target;
+      });
     }
   } else {
     route_progress_.assign(n * stride, 0);
     route_targets_.assign(n * stride, kNoNode);
     for (NodeIndex v = 0; v < n; ++v) {
-      const std::uint64_t lo = offsets[v];
-      const std::uint64_t len = offsets[v + 1] - lo;
-      std::copy_n(
-          progress_csr.begin() + static_cast<std::ptrdiff_t>(lo), len,
-          route_progress_.begin() + static_cast<std::ptrdiff_t>(v * stride));
-      std::copy_n(
-          targets_csr.begin() + static_cast<std::ptrdiff_t>(lo), len,
-          route_targets_.begin() + static_cast<std::ptrdiff_t>(v * stride));
+      std::uint64_t* progress_out = route_progress_.data() + v * stride;
+      NodeIndex* target_out = route_targets_.data() + v * stride;
+      sweep.row(v, [&](std::uint64_t progress, NodeIndex target) {
+        *progress_out++ = progress;
+        *target_out++ = target;
+      });
     }
   }
 }
@@ -91,48 +114,45 @@ NodeIndex SparseChordOverlay::finger(NodeIndex node, int index) const {
   DHT_CHECK(node < space_->node_count(), "node index out of range");
   DHT_CHECK(index >= 1 && index <= space_->bits(),
             "finger index out of range");
-  return fingers_[node * static_cast<std::uint64_t>(space_->bits()) +
-                  static_cast<std::uint64_t>(index - 1)];
+  const int d = space_->bits();
+  const sim::NodeId key = (space_->ids()[node] +
+                           (std::uint64_t{1} << (d - index))) &
+                          (space_->key_space_size() - 1);
+  return space_->successor_of_key(key);
 }
 
 std::optional<NodeIndex> SparseChordOverlay::next_hop(
     NodeIndex current, NodeIndex target,
     const SparseFailure& failures) const {
   // Range checks live here at the API boundary; the scan below reads the
-  // finger row and id array raw (finger()/id_of() would re-check per call).
+  // route row and id array raw.
   DHT_CHECK(current != target, "next_hop requires current != target");
   DHT_CHECK(current < space_->node_count() && target < space_->node_count(),
             "node index out of range");
-  const int d = space_->bits();
   const sim::NodeId* ids = space_->ids().data();
-  const NodeIndex* row = fingers_.data() + current * static_cast<std::uint64_t>(d);
-  const sim::NodeId current_id = ids[current];
   const std::uint64_t distance =
-      sim::ring_distance(current_id, ids[target], d);
-  // Greedy clockwise without overshoot.  Sparse finger offsets are not
-  // strictly ordered by index (each is a successor jump past the dyadic
-  // point), so scan all fingers and keep the best admissible alive one.
-  std::uint64_t best_progress = 0;
-  NodeIndex best = current;
-  for (int i = 0; i < d; ++i) {
-    const NodeIndex f = row[i];
-    if (f == current) {
-      continue;  // finger wrapped onto ourselves (tiny networks)
+      sim::ring_distance(ids[current], ids[target], space_->bits());
+  // Greedy clockwise without overshoot.  The row holds current's distinct
+  // fingers in decreasing progress, so the first alive entry that does not
+  // overshoot is the max-progress admissible alive finger.
+  const std::uint64_t stride = static_cast<std::uint64_t>(route_stride_);
+  const std::uint64_t len = route_lens_[current];
+  for (std::uint64_t e = 0; e < len; ++e) {
+    std::uint64_t progress = 0;
+    NodeIndex f = kNoNode;
+    if (!route_packed_.empty()) {
+      const std::uint64_t entry = route_packed_[current * stride + e];
+      progress = entry >> 32;
+      f = static_cast<NodeIndex>(entry);
+    } else {
+      progress = route_progress_[current * stride + e];
+      f = route_targets_[current * stride + e];
     }
-    const std::uint64_t progress =
-        sim::ring_distance(current_id, ids[f], d);
-    if (progress > distance || progress <= best_progress) {
-      continue;
-    }
-    if (failures.alive(f)) {
-      best_progress = progress;
-      best = f;
+    if (progress <= distance && failures.alive(f)) {
+      return f;
     }
   }
-  if (best_progress == 0) {
-    return std::nullopt;
-  }
-  return best;
+  return std::nullopt;
 }
 
 }  // namespace dht::sparse

@@ -21,14 +21,9 @@ class SparseChordOverlay final : public SparseOverlay {
   std::string_view name() const noexcept override { return "sparse-ring"; }
   const SparseIdSpace& space() const noexcept override { return *space_; }
 
-  /// The i-th finger (1-based): successor(id + 2^{bits-i}).
+  /// The i-th finger (1-based): successor(id + 2^{bits-i}), looked up on
+  /// demand (a test API; routing reads the route rows below).
   NodeIndex finger(NodeIndex node, int index) const;
-
-  /// Row-major [node][i-1] finger node indices; the flattened kernel
-  /// (sparse/flat_sparse.hpp) reads this directly.
-  const std::vector<NodeIndex>& finger_table() const noexcept {
-    return fingers_;
-  }
 
   /// Kernel route layout: node v's *distinct* fingers (duplicates collapse
   /// onto the same few successors in sparse spaces; self-links dropped) in
@@ -40,6 +35,10 @@ class SparseChordOverlay final : public SparseOverlay {
   /// lets the kernel compute a row's address from the node index alone (no
   /// offsets load on the critical path) and prefetch the next hop's row a
   /// whole batch turn ahead.
+  ///
+  /// The build is a linear sweep over the sorted ids: one forward-only
+  /// successor cursor per finger level, and the cursors emit each row
+  /// already in decreasing-progress order.
   ///
   /// Two storage shapes, selected by the key-space width:
   ///  - bits <= 32 (route_packed() non-empty): each entry is one u64,
@@ -71,8 +70,6 @@ class SparseChordOverlay final : public SparseOverlay {
 
  private:
   const SparseIdSpace* space_;
-  // Row-major [node][i-1] finger node indices.
-  std::vector<NodeIndex> fingers_;
   // Fixed-stride padded rows of (progress, target), progress descending:
   // packed single-u64 entries when bits <= 32, parallel arrays otherwise.
   int route_stride_ = 0;

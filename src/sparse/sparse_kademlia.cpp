@@ -1,5 +1,6 @@
 #include "sparse/sparse_kademlia.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/check.hpp"
@@ -18,16 +19,32 @@ SparseKademliaOverlay::SparseKademliaOverlay(const SparseIdSpace& space,
   const std::uint64_t n = space.node_count();
   const auto row_width = static_cast<std::uint64_t>(d) * k;
   contacts_.resize(n * row_width, kNoNode);
+  // Bucket i of v is the sibling of v's own depth-i subtree: the ids that
+  // share id(v)'s first i-1 bits and differ at bit i.  With v's own
+  // depth-i subtree at index range [lo[i], hi[i]) (depth 0 = everyone),
+  // the sibling is [hi[i], hi[i-1]) when bit i of id(v) is 0 and
+  // [lo[i-1], lo[i]) when it is 1.  Ids are sorted, so consecutive nodes
+  // share every subtree down to their common prefix; only the deeper ones
+  // are new, each starting at v and ending inside its parent, so its end
+  // is a search over a range that shrinks with depth.
+  const sim::NodeId* ids = space.ids().data();
+  std::vector<std::uint64_t> lo(static_cast<std::size_t>(d) + 1, 0);
+  std::vector<std::uint64_t> hi(static_cast<std::size_t>(d) + 1, n);
   for (NodeIndex v = 0; v < n; ++v) {
-    const sim::NodeId base = space.id_of(v);
+    const sim::NodeId base = ids[v];
+    const int shared =
+        v == 0 ? 0 : d - static_cast<int>(std::bit_width(ids[v - 1] ^ base));
+    for (int i = shared + 1; i <= d; ++i) {
+      const sim::NodeId subtree_last =
+          base | ((std::uint64_t{1} << (d - i)) - 1);
+      lo[i] = v;
+      hi[i] = static_cast<std::uint64_t>(
+          std::upper_bound(ids + v, ids + hi[i - 1], subtree_last) - ids);
+    }
     for (int i = 1; i <= d; ++i) {
-      // Bucket i's identifier set is the contiguous range obtained by
-      // flipping bit i of `base` and freeing the i..d suffix bits.
-      const int suffix_bits = d - i;
-      const sim::NodeId lo = (sim::flip_level(base, i, d) >> suffix_bits)
-                             << suffix_bits;
-      const sim::NodeId hi = lo + ((std::uint64_t{1} << suffix_bits) - 1);
-      const auto [first, last] = space.index_range(lo, hi);
+      const bool bit_set = ((base >> (d - i)) & 1) != 0;
+      const std::uint64_t first = bit_set ? lo[i - 1] : hi[i];
+      const std::uint64_t last = bit_set ? lo[i] : hi[i - 1];
       if (first == last) {
         continue;  // empty bucket: nobody lives in this subtree
       }

@@ -6,9 +6,11 @@
 // with N <= 2^d (real DHTs: N ~ 10^6 nodes in a 2^128 space).  Nodes are
 // indexed 0..N-1 in ring order of their identifiers; routing operates on
 // identifiers, liveness and pair sampling on indices.  Key spaces up to
-// 2^63 and populations up to 2^26 nodes are supported: all per-identifier
+// 2^63 and populations up to 2^26 nodes are supported: per-identifier
 // queries are binary searches over the sorted id array, so only the
-// population is materialized, never the key space.
+// population is materialized, never the key space.  The overlay builds,
+// which ask such a question for every (node, level), sweep the sorted ids
+// instead (sparse_chord.cpp, sparse_kademlia.cpp).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,11 @@
 // Non-fully-populated identifier spaces (the paper's Section 6 future
 // work): structural invariants, dense-limit equivalence, and the density
 // reduction (sparse systems behave like the dense model at d' = log2 N).
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,132 @@
 
 namespace dht::sparse {
 namespace {
+
+/// Row v of the Chord route table as (progress, target) pairs, whichever
+/// storage shape the overlay picked.
+std::vector<std::pair<std::uint64_t, NodeIndex>> route_row(
+    const SparseChordOverlay& overlay, NodeIndex v) {
+  const std::uint64_t stride =
+      static_cast<std::uint64_t>(overlay.route_stride());
+  std::vector<std::pair<std::uint64_t, NodeIndex>> row;
+  for (std::uint64_t e = 0; e < overlay.route_lens()[v]; ++e) {
+    if (!overlay.route_packed().empty()) {
+      const std::uint64_t entry = overlay.route_packed()[v * stride + e];
+      row.emplace_back(entry >> 32, static_cast<NodeIndex>(entry));
+    } else {
+      row.emplace_back(overlay.route_progress()[v * stride + e],
+                       overlay.route_targets()[v * stride + e]);
+    }
+  }
+  return row;
+}
+
+/// Reference Chord row: the d successors of the dyadic points by binary
+/// search, self-links dropped, sorted by decreasing progress, deduplicated.
+std::vector<std::pair<std::uint64_t, NodeIndex>> reference_route_row(
+    const SparseIdSpace& space, NodeIndex v) {
+  const int d = space.bits();
+  const std::uint64_t mask = space.key_space_size() - 1;
+  const sim::NodeId base = space.id_of(v);
+  std::vector<std::pair<std::uint64_t, NodeIndex>> row;
+  for (int i = 1; i <= d; ++i) {
+    const NodeIndex f =
+        space.successor_of_key((base + (std::uint64_t{1} << (d - i))) & mask);
+    if (f != v) {
+      row.emplace_back((space.id_of(f) - base) & mask, f);
+    }
+  }
+  std::sort(row.begin(), row.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  row.erase(std::unique(row.begin(), row.end()), row.end());
+  return row;
+}
+
+/// Asserts the overlay's fixed-stride route tables equal the reference
+/// rows bit for bit: stride, lengths, entries and padding.
+void expect_route_rows_match_reference(const SparseIdSpace& space) {
+  const SparseChordOverlay overlay(space);
+  const std::uint64_t n = space.node_count();
+  std::vector<std::vector<std::pair<std::uint64_t, NodeIndex>>> rows;
+  std::uint64_t widest = 1;
+  for (NodeIndex v = 0; v < n; ++v) {
+    rows.push_back(reference_route_row(space, v));
+    widest = std::max<std::uint64_t>(widest, rows.back().size());
+  }
+  const std::uint64_t stride = (widest + 7) & ~std::uint64_t{7};
+  ASSERT_EQ(static_cast<std::uint64_t>(overlay.route_stride()), stride);
+  std::vector<std::uint8_t> lens;
+  std::vector<std::uint64_t> packed;
+  std::vector<std::uint64_t> progress;
+  std::vector<NodeIndex> targets;
+  for (const auto& row : rows) {
+    lens.push_back(static_cast<std::uint8_t>(row.size()));
+    for (std::uint64_t e = 0; e < stride; ++e) {
+      const bool real = e < row.size();
+      const std::uint64_t p = real ? row[e].first : 0;
+      const NodeIndex t = real ? row[e].second : kNoNode;
+      if (space.bits() <= 32) {
+        packed.push_back((p << 32) | t);
+      } else {
+        progress.push_back(p);
+        targets.push_back(t);
+      }
+    }
+  }
+  EXPECT_EQ(overlay.route_lens(), lens);
+  EXPECT_EQ(overlay.route_packed(), packed);
+  EXPECT_EQ(overlay.route_progress(), progress);
+  EXPECT_EQ(overlay.route_targets(), targets);
+}
+
+/// Reference Kademlia constructor: one index_range binary search per
+/// (node, bucket) feeding the overlay's draw loop, in the same order.
+std::vector<NodeIndex> reference_contact_table(const SparseIdSpace& space,
+                                               math::Rng& rng, int k) {
+  const int d = space.bits();
+  const std::uint64_t n = space.node_count();
+  const auto row_width = static_cast<std::uint64_t>(d) * k;
+  std::vector<NodeIndex> contacts(n * row_width, kNoNode);
+  for (NodeIndex v = 0; v < n; ++v) {
+    const sim::NodeId base = space.id_of(v);
+    for (int i = 1; i <= d; ++i) {
+      const int suffix_bits = d - i;
+      const sim::NodeId lo = (sim::flip_level(base, i, d) >> suffix_bits)
+                             << suffix_bits;
+      const sim::NodeId hi = lo + ((std::uint64_t{1} << suffix_bits) - 1);
+      const auto [first, last] = space.index_range(lo, hi);
+      if (first == last) {
+        continue;
+      }
+      const std::uint64_t bucket_base =
+          v * row_width + static_cast<std::uint64_t>(i - 1) * k;
+      const std::uint64_t size = last - first;
+      contacts[bucket_base] =
+          static_cast<NodeIndex>(first + rng.uniform_below(size));
+      const int cells = static_cast<int>(
+          size < static_cast<std::uint64_t>(k) ? size : k);
+      for (int cell = 1; cell < cells; ++cell) {
+        const auto taken = [&](NodeIndex candidate) {
+          for (int prev = 0; prev < cell; ++prev) {
+            if (contacts[bucket_base + prev] == candidate) {
+              return true;
+            }
+          }
+          return false;
+        };
+        auto pick = static_cast<NodeIndex>(first + rng.uniform_below(size));
+        for (int attempt = 0; attempt < 16 && taken(pick); ++attempt) {
+          pick = static_cast<NodeIndex>(first + rng.uniform_below(size));
+        }
+        while (taken(pick)) {
+          pick = pick + 1 == last ? first : pick + 1;
+        }
+        contacts[bucket_base + cell] = pick;
+      }
+    }
+  }
+  return contacts;
+}
 
 TEST(SparseIdSpace, IdsAreDistinctSortedAndInRange) {
   math::Rng rng(1);
@@ -119,17 +249,58 @@ TEST(SparseChord, DenseLimitFingersMatchClassicChord) {
 }
 
 TEST(SparseChord, FingersAreSuccessorsOfDyadicPoints) {
+  // Every route-row entry is the successor of one of v's dyadic points,
+  // with its clockwise progress, and every such successor other than v
+  // itself appears in the row.
   math::Rng rng(9);
   const SparseIdSpace space(20, 1024, rng);
   const SparseChordOverlay overlay(space);
+  const std::uint64_t mask = space.key_space_size() - 1;
   for (NodeIndex v = 0; v < space.node_count(); v += 101) {
     const sim::NodeId base = space.id_of(v);
+    std::set<NodeIndex> successors;
     for (int i = 1; i <= 20; ++i) {
-      const sim::NodeId key =
-          (base + (std::uint64_t{1} << (20 - i))) & (space.key_space_size() - 1);
-      EXPECT_EQ(overlay.finger(v, i), space.successor_of_key(key));
+      const NodeIndex f = space.successor_of_key(
+          (base + (std::uint64_t{1} << (20 - i))) & mask);
+      if (f != v) {
+        successors.insert(f);
+      }
+    }
+    std::set<NodeIndex> row_targets;
+    for (const auto& [progress, target] : route_row(overlay, v)) {
+      EXPECT_EQ(progress, (space.id_of(target) - base) & mask);
+      row_targets.insert(target);
+    }
+    EXPECT_EQ(row_targets, successors) << "v=" << v;
+  }
+}
+
+TEST(SparseChord, RouteRowsMatchSuccessorReference) {
+  struct Case {
+    int bits;
+    std::uint64_t n;
+  };
+  for (const Case c : {Case{8, 256}, Case{20, 1024}, Case{32, 1u << 14},
+                       Case{40, 1u << 12}, Case{16, 2}, Case{1, 2}}) {
+    SCOPED_TRACE("bits=" + std::to_string(c.bits) +
+                 " n=" + std::to_string(c.n));
+    math::Rng rng(300 + c.bits);
+    const SparseIdSpace space(c.bits, c.n, rng);
+    expect_route_rows_match_reference(space);
+  }
+  // A population whose highest ids sit just below 2^d, so the top nodes'
+  // fingers all wrap past zero.
+  bool found = false;
+  for (std::uint64_t seed = 1; seed < 1000 && !found; ++seed) {
+    math::Rng rng(seed);
+    const SparseIdSpace space(12, 200, rng);
+    if (space.ids().back() == space.key_space_size() - 1) {
+      found = true;
+      SCOPED_TRACE("wrapping population, seed " + std::to_string(seed));
+      expect_route_rows_match_reference(space);
     }
   }
+  EXPECT_TRUE(found);
 }
 
 TEST(SparseChord, FailureFreeRoutesArrive) {
@@ -165,6 +336,28 @@ TEST(SparseKademlia, BucketsRespectXorRanges) {
           sim::xor_distance(base, space.id_of(*entry));
       EXPECT_GE(distance, std::uint64_t{1} << (16 - i));
       EXPECT_LT(distance, std::uint64_t{2} << (16 - i));
+    }
+  }
+}
+
+TEST(SparseKademlia, ContactTableMatchesIndexRangeReference) {
+  struct Case {
+    int bits;
+    std::uint64_t n;
+  };
+  for (const Case c : {Case{20, 1024}, Case{32, 1u << 14}, Case{40, 1u << 12},
+                       Case{10, 1024}}) {
+    for (const int k : {1, 3}) {
+      SCOPED_TRACE("bits=" + std::to_string(c.bits) +
+                   " n=" + std::to_string(c.n) + " k=" + std::to_string(k));
+      math::Rng space_rng(400 + c.bits);
+      const SparseIdSpace space(c.bits, c.n, space_rng);
+      math::Rng rng(500 + c.bits);
+      math::Rng reference_rng(500 + c.bits);
+      const SparseKademliaOverlay overlay(space, rng, k);
+      EXPECT_EQ(overlay.contact_table(),
+                reference_contact_table(space, reference_rng, k));
+      EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
     }
   }
 }
@@ -288,8 +481,8 @@ TEST(SparseChord, FullyPopulatedNextHopMatchesDenseOracle) {
 }
 
 TEST(SparseChord, FullyPopulatedLinkSetsMatchDenseOracle) {
-  // Same degenerate setting, structural form: the finger set of every node
-  // equals the dense overlay's link set.
+  // Same degenerate setting, structural form: the route row of every node
+  // holds exactly the dense overlay's link set.
   const int d = 8;
   math::Rng sparse_rng(43);
   const SparseIdSpace sparse_space(d, 256, sparse_rng);
@@ -299,8 +492,8 @@ TEST(SparseChord, FullyPopulatedLinkSetsMatchDenseOracle) {
   const sim::ChordOverlay dense_overlay(dense_space, dense_rng);
   for (NodeIndex v = 0; v < 256; ++v) {
     std::set<sim::NodeId> sparse_links;
-    for (int i = 1; i <= d; ++i) {
-      sparse_links.insert(sparse_space.id_of(sparse_overlay.finger(v, i)));
+    for (const auto& [progress, target] : route_row(sparse_overlay, v)) {
+      sparse_links.insert(sparse_space.id_of(target));
     }
     const auto dense = dense_overlay.links(v);
     const std::set<sim::NodeId> dense_links(dense.begin(), dense.end());
