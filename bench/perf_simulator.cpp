@@ -121,6 +121,7 @@
 //        A/B measurement of the instrumentation overhead itself)
 //        All flags are validated here at the parse boundary -- a bad value
 //        gets a one-line diagnostic instead of a deep engine abort.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -456,6 +457,13 @@ void emit_sparse(const Config& cfg, const char* geometry, const char* path,
       obs_columns(profile, failures).c_str(), identical ? "true" : "false");
 }
 
+/// Worker count for the sparse overlay builds: the largest in --threads,
+/// so the determinism gates (which compare rows across --threads runs)
+/// also cover builds on different worker counts.
+unsigned build_threads(const Config& cfg) {
+  return *std::max_element(cfg.threads.begin(), cfg.threads.end());
+}
+
 /// Runs the sparse N-grid sweep; returns false when a parallel estimate
 /// differed across thread counts.
 bool run_sparse_section(const Config& cfg, obs::Trace* trace) {
@@ -477,7 +485,8 @@ bool run_sparse_section(const Config& cfg, obs::Trace* trace) {
       auto build_start = std::chrono::steady_clock::now();
       std::unique_ptr<sparse::SparseOverlay> overlay;
       if (std::strcmp(geometry, "sparse-ring") == 0) {
-        overlay = std::make_unique<sparse::SparseChordOverlay>(space);
+        overlay = std::make_unique<sparse::SparseChordOverlay>(
+            space, build_threads(cfg));
       } else {
         overlay =
             std::make_unique<sparse::SparseKademliaOverlay>(space, build_rng);
@@ -581,7 +590,7 @@ bool run_sparse_workload_section(const Config& cfg, obs::Trace* trace) {
   for (const std::uint64_t n : grid) {
     math::Rng space_rng(cfg.seed + 10);
     const sparse::SparseIdSpace space(cfg.sparse_bits, n, space_rng);
-    const sparse::SparseChordOverlay overlay(space);
+    const sparse::SparseChordOverlay overlay(space, build_threads(cfg));
     math::Rng fail_rng(cfg.seed + 11);
     const sparse::SparseFailure failures(space, cfg.q, fail_rng);
     const math::Rng engine_rng(cfg.seed + 13);

@@ -295,7 +295,7 @@ int cmd_sparse(const std::string& name, int bits, std::uint64_t n, double q,
   const sparse::SparseIdSpace space(bits, n, rng);
   std::unique_ptr<sparse::SparseOverlay> overlay;
   if (name == "ring") {
-    overlay = std::make_unique<sparse::SparseChordOverlay>(space);
+    overlay = std::make_unique<sparse::SparseChordOverlay>(space, threads);
   } else if (name == "xor") {
     overlay = std::make_unique<sparse::SparseKademliaOverlay>(space, rng);
   } else if (name == "symphony") {

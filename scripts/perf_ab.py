@@ -18,19 +18,25 @@ background load).  This runner de-confounds it the standard way:
  * Rows are paired by (section, key columns) within each run, the same
    discipline as check_jsonl_determinism.py, and the speedup reported per
    row plus as a geometric mean over the selected rows.
+ * With --control, A also runs as a third interleaved arm (A B A' ...),
+   an A-vs-A comparison of the same binary.  Its speedups -- best-of-N
+   and one per repeat, paired by repeat -- form the row's noise band.  A
+   row whose A-vs-B speedup lies inside that band is marked unresolved:
+   the same binary already produced a ratio that large.
 
 Usage:
   perf_ab.py --a ./build-baseline/perf_simulator --b ./build/perf_simulator
              [--args "--threads 1 --pairs 0 ..."] [--repeats 3]
              [--metric routes_per_sec] [--section sparse_churn]
-             [--filter key=value ...] [--out BENCH.json]
+             [--filter key=value ...] [--control] [--out BENCH.json]
 
 The A/B binaries run with identical arguments.  --filter restricts the
 compared rows (e.g. --filter inflight=false keeps only sync-mode rows).
 Output: a human summary on stderr and one JSON record on stdout (or to
 --out), with per-row best, median, IQR and every repeat's value for both
 arms, and the geomean speedup.  Speedups are > 1 when B is better: B/A for
-higher-is-better metrics, A/B for seconds.
+higher-is-better metrics, A/B for seconds.  With --control each row also
+carries the control's values, its speedup and band, and `resolved`.
 Exit status: 0 on success, 1 if no rows matched or a run failed.
 """
 
@@ -110,6 +116,12 @@ def summarize(values, lower):
     }
 
 
+def speedup_of(baseline, candidate, lower):
+    """> 1 when the candidate is better: A/B for seconds, B/A otherwise."""
+    num, den = (baseline, candidate) if lower else (candidate, baseline)
+    return num / den if den > 0 else float("inf")
+
+
 def run_arm(binary, args):
     proc = subprocess.run([binary] + args, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -136,6 +148,9 @@ def main():
     ap.add_argument("--ignore", action="append", default=[], metavar="KEY",
                     help="drop KEY from the pairing identity -- for columns "
                          "one arm's (older) schema does not emit yet")
+    ap.add_argument("--control", action="store_true",
+                    help="also run A as a third interleaved arm and mark "
+                         "rows whose speedup stays inside the A-vs-A band")
     ap.add_argument("--out", default="", help="write the JSON record here")
     opts = ap.parse_args()
 
@@ -147,10 +162,13 @@ def main():
     args = opts.args.split()
 
     lower = lower_is_better(opts.metric)
-    values = {"a": {}, "b": {}}
+    arms = [("a", opts.a), ("b", opts.b)]
+    if opts.control:
+        arms.append(("c", opts.a))
+    values = {arm: {} for arm, _ in arms}
     for repeat in range(max(1, opts.repeats)):
         # Interleave the arms so machine drift is shared, not attributed.
-        for arm, binary in (("a", opts.a), ("b", opts.b)):
+        for arm, binary in arms:
             sys.stderr.write(
                 f"[perf_ab] repeat {repeat + 1}/{opts.repeats} arm "
                 f"{arm.upper()}: {binary}\n")
@@ -162,7 +180,10 @@ def main():
                     continue
                 values[arm].setdefault(key, []).append(metric)
 
-    shared = sorted(set(values["a"]) & set(values["b"]))
+    shared = set(values["a"]) & set(values["b"])
+    if opts.control:
+        shared &= set(values["c"])
+    shared = sorted(shared)
     if not shared:
         sys.stderr.write("FAIL: no comparable rows between the arms\n")
         return 1
@@ -171,11 +192,9 @@ def main():
     for key in shared:
         a = summarize(values["a"][key], lower)
         b = summarize(values["b"][key], lower)
-        # > 1 when B is better: A/B for seconds, B/A for throughput.
-        num, den = (a["best"], b["best"]) if lower else (b["best"], a["best"])
-        speedup = num / den if den > 0 else float("inf")
+        speedup = speedup_of(a["best"], b["best"], lower)
         log_sum += math.log(speedup)
-        records.append({
+        entry = {
             "key": {f: v for f, v in key},
             "baseline": a["best"],
             "candidate": b["best"],
@@ -186,16 +205,42 @@ def main():
             "candidate_median": b["median"],
             "candidate_iqr": b["iqr"],
             "candidate_values": b["values"],
-        })
+        }
         label = " ".join(f"{f}={v}" for f, v in key)
+        verdict = ""
+        if opts.control:
+            c = summarize(values["c"][key], lower)
+            # The A-vs-A band: best-of-N plus every repeat's paired ratio
+            # (a row missing from some repeat pairs over the shorter list).
+            control = [speedup_of(a["best"], c["best"], lower)] + [
+                speedup_of(x, y, lower)
+                for x, y in zip(a["values"], c["values"])]
+            band = [min(control), max(control)]
+            resolved = speedup < band[0] or speedup > band[1]
+            entry.update({
+                "control": c["best"],
+                "control_speedup": control[0],
+                "control_median": c["median"],
+                "control_iqr": c["iqr"],
+                "control_values": c["values"],
+                "control_band": band,
+                "resolved": resolved,
+            })
+            verdict = (f"; A-vs-A band {band[0]:.3f}-{band[1]:.3f}x"
+                       f"{'' if resolved else ' UNRESOLVED'}")
+        records.append(entry)
         sys.stderr.write(
             f"[perf_ab] {label}: best {a['best']:.4g} -> {b['best']:.4g} "
             f"({speedup:.3f}x); median {a['median']:.4g} "
             f"(IQR {a['iqr']:.3g}) -> {b['median']:.4g} "
-            f"(IQR {b['iqr']:.3g})\n")
+            f"(IQR {b['iqr']:.3g}){verdict}\n")
     geomean = math.exp(log_sum / len(shared))
     sys.stderr.write(f"[perf_ab] geomean speedup over {len(shared)} rows: "
                      f"{geomean:.3f}x\n")
+    if opts.control:
+        unresolved = sum(not r["resolved"] for r in records)
+        sys.stderr.write(f"[perf_ab] {unresolved} of {len(records)} rows "
+                         f"inside their A-vs-A band (unresolved)\n")
     record = {
         "bench": "perf_ab",
         "metric": opts.metric,
@@ -204,6 +249,7 @@ def main():
         "filters": [f"{k}={v}" for k, v in filters],
         "ignored_key_fields": sorted(ignored),
         "repeats": opts.repeats,
+        "control": opts.control,
         "a": opts.a,
         "b": opts.b,
         "args": opts.args,

@@ -28,8 +28,7 @@ SparseMembership::SparseMembership(int bits, std::uint64_t capacity)
   // Capped at 2^20 buckets (4 MiB) and at the key space itself.
   const int bucket_bits = std::min(
       bits_, std::min(20, static_cast<int>(std::bit_width(capacity)) - 2));
-  seek_shift_ = bits_ - bucket_bits;
-  seek_.assign((std::uint64_t{1} << bucket_bits) + 1, 0);
+  seek_ = sparse::PrefixSeek(bits_, bucket_bits);
 }
 
 void SparseMembership::leave(NodeSlot slot) {
@@ -44,18 +43,9 @@ bool SparseMembership::id_occupied(std::uint64_t id) const {
   // Occupied = owned by a still-present node: either an order entry whose
   // slot has not left since the last commit, or a pending joiner.  Ids of
   // departed nodes are free for re-draw immediately.
-  std::uint64_t window_lo = 0;
-  std::uint64_t window_hi = order_ids_.size();
-  if (seek_fresh_) {
-    const std::uint64_t bucket = id >> seek_shift_;
-    window_lo = seek_[bucket];
-    window_hi = seek_[bucket + 1];
-  }
-  const auto it = std::lower_bound(order_ids_.begin() + window_lo,
-                                   order_ids_.begin() + window_hi, id);
-  if (it != order_ids_.end() && *it == id) {
-    const NodeSlot slot =
-        order_slots_[static_cast<std::uint64_t>(it - order_ids_.begin())];
+  const std::uint64_t pos = order_lower_bound(id);
+  if (pos < order_ids_.size() && order_ids_[pos] == id) {
+    const NodeSlot slot = order_slots_[pos];
     // The order entry holds the id iff its slot is still present under its
     // committed identity; a recycled slot's old id is free again (the
     // recycled identity is tracked by the pending list instead).
@@ -227,21 +217,7 @@ void SparseMembership::commit(bool refresh_seek) {
     seek_fresh_ = false;
     return;
   }
-  // Refresh the prefix-seek table in one streaming pass: walking the
-  // ascending ids, every bucket up to an id's prefix that has not started
-  // yet starts at that id's position (empty buckets collapse onto the next
-  // occupied one); trailing buckets start at the end.
-  const std::uint64_t buckets = seek_.size() - 1;
-  std::uint64_t b = 0;
-  for (std::uint64_t pos = 0; pos < order_ids_.size(); ++pos) {
-    const std::uint64_t prefix = order_ids_[pos] >> seek_shift_;
-    while (b <= prefix) {
-      seek_[b++] = static_cast<std::uint32_t>(pos);
-    }
-  }
-  while (b <= buckets) {
-    seek_[b++] = static_cast<std::uint32_t>(order_ids_.size());
-  }
+  seek_.build(order_ids_.data(), order_ids_.size());
   seek_fresh_ = true;
 }
 

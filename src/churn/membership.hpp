@@ -31,6 +31,7 @@
 
 #include "common/check.hpp"
 #include "math/rng.hpp"
+#include "sparse/prefix_seek.hpp"
 #include "sparse/sparse_space.hpp"
 
 namespace dht::churn {
@@ -146,21 +147,7 @@ class SparseMembership {
   /// instructions worth keeping call-free.
   std::uint64_t successor_position(std::uint64_t key) const {
     DHT_CHECK(!order_ids_.empty(), "successor query on an empty population");
-    // Window the search to `key`'s seek bucket when the table is fresh:
-    // ids at positions >= seek_[bucket + 1] belong to higher prefixes and
-    // are > key, so if the bucket holds nothing >= key the answer is
-    // exactly its end.  A stale table (non-refreshing commit) degrades to
-    // the full range -- same lower bound, bigger window.
-    std::uint64_t window_lo = 0;
-    std::uint64_t window_hi = order_ids_.size();
-    if (seek_fresh_) {
-      const std::uint64_t bucket = key >> seek_shift_;
-      window_lo = seek_[bucket];
-      window_hi = seek_[bucket + 1];
-    }
-    const auto it = std::lower_bound(order_ids_.begin() + window_lo,
-                                     order_ids_.begin() + window_hi, key);
-    const auto pos = static_cast<std::uint64_t>(it - order_ids_.begin());
+    const std::uint64_t pos = order_lower_bound(key);
     if (pos == order_ids_.size()) {
       return 0;  // wrap to the smallest identifier
     }
@@ -180,23 +167,14 @@ class SparseMembership {
     // Same windowing as successor_position, once per endpoint: positions
     // past a bucket's end hold strictly larger prefixes, so each bound is
     // fully determined inside its own bucket window.
+    const std::uint64_t first = order_lower_bound(lo);
     if (!seek_fresh_) {
-      const auto first =
-          std::lower_bound(order_ids_.begin(), order_ids_.end(), lo);
-      const auto last = std::upper_bound(first, order_ids_.end(), hi);
-      return {static_cast<std::uint64_t>(first - order_ids_.begin()),
-              static_cast<std::uint64_t>(last - order_ids_.begin())};
+      const auto last = std::upper_bound(
+          order_ids_.begin() + static_cast<std::ptrdiff_t>(first),
+          order_ids_.end(), hi);
+      return {first, static_cast<std::uint64_t>(last - order_ids_.begin())};
     }
-    const std::uint64_t lo_bucket = lo >> seek_shift_;
-    const auto first =
-        std::lower_bound(order_ids_.begin() + seek_[lo_bucket],
-                         order_ids_.begin() + seek_[lo_bucket + 1], lo);
-    const std::uint64_t hi_bucket = hi >> seek_shift_;
-    const auto last = std::upper_bound(
-        std::max(first, order_ids_.begin() + seek_[hi_bucket]),
-        order_ids_.begin() + seek_[hi_bucket + 1], hi);
-    return {static_cast<std::uint64_t>(first - order_ids_.begin()),
-            static_cast<std::uint64_t>(last - order_ids_.begin())};
+    return {first, seek_.upper_bound(order_ids_.data(), hi, first)};
   }
 
   /// The slot `steps` positions clockwise of ring position `pos`.
@@ -213,6 +191,18 @@ class SparseMembership {
  private:
   bool id_occupied(std::uint64_t id) const;
 
+  /// Ring position of the first order id >= key (order_size() when none):
+  /// windowed by the seek table when it is fresh, the full range
+  /// otherwise -- the same lower bound either way.
+  std::uint64_t order_lower_bound(std::uint64_t key) const {
+    if (seek_fresh_) {
+      return seek_.lower_bound(order_ids_.data(), key);
+    }
+    return static_cast<std::uint64_t>(
+        std::lower_bound(order_ids_.begin(), order_ids_.end(), key) -
+        order_ids_.begin());
+  }
+
   int bits_;
   std::vector<std::uint64_t> ids_;       // per slot; stale while absent
   std::vector<std::uint8_t> present_;    // per slot
@@ -228,17 +218,14 @@ class SparseMembership {
   // Sorted present ids + parallel slots, as of the last commit().
   std::vector<std::uint64_t> order_ids_;
   std::vector<NodeSlot> order_slots_;
-  // Prefix-seek accelerator over the order index: seek_[b] is the first
-  // order position whose id is >= (b << seek_shift_), seek_.back() ==
-  // order_size().  Every order query (successor, range, occupancy) then
-  // binary-searches only the handful of entries inside one key-prefix
-  // bucket instead of the whole population -- the queries stay exact
-  // lower/upper bounds, just over a provably sufficient window, so results
-  // are bit-identical to the plain searches.  Rebuilt by commit() in one
-  // streaming pass (the arrays it walks are already hot from the merge).
-  int seek_shift_ = 0;
+  // Prefix-seek accelerator over the order index (sparse/prefix_seek.hpp):
+  // every order query (successor, range, occupancy) binary-searches only
+  // the handful of entries inside one key-prefix bucket instead of the
+  // whole population, with results bit-identical to the plain searches.
+  // Rebuilt by commit() in one streaming pass (the arrays it walks are
+  // already hot from the merge).
   bool seek_fresh_ = false;  // false after a non-refreshing commit
-  std::vector<std::uint32_t> seek_;
+  sparse::PrefixSeek seek_;
   // Joins since the last commit(), sorted by id, plus a per-slot flag so
   // commit() can tell a surviving order entry from one whose slot was
   // recycled this round (possibly onto the very same identifier).

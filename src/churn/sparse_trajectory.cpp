@@ -1663,20 +1663,26 @@ double SparseChurnWorld::alive_fraction() const noexcept {
 }
 
 double SparseChurnWorld::mean_entry_age() const {
-  double total = 0.0;
+  // Every age is round_ - stamp, so the age sum is counted * round_ minus
+  // the stamp sum, taken exactly in int64.  The historical per-entry double
+  // sum only ever added integers below 2^53, so it was exact too and the
+  // quotient is bit-identical.
+  std::int64_t stamps = 0;
   std::uint64_t counted = 0;
-  // Bitmap enumeration preserves the ascending slot order, so the
-  // floating-point accumulation is bit-identical to the historical
-  // full-capacity scan.
+  const auto width = static_cast<std::uint64_t>(row_width_);
   for_each_alive(membership_, [&](NodeSlot slot) {
-    for (int j = 0; j < row_width_; ++j) {
-      total += round_ -
-               refreshed_at_[slot * static_cast<std::uint64_t>(row_width_) +
-                             static_cast<std::uint64_t>(j)];
-      ++counted;
+    const std::int32_t* row = refreshed_at_.data() + slot * width;
+    for (std::uint64_t j = 0; j < width; ++j) {
+      stamps += row[j];
     }
+    counted += width;
   });
-  return counted == 0 ? 0.0 : total / static_cast<double>(counted);
+  if (counted == 0) {
+    return 0.0;
+  }
+  const std::int64_t ages =
+      static_cast<std::int64_t>(counted) * round_ - stamps;
+  return static_cast<double>(ages) / static_cast<double>(counted);
 }
 
 SparseChurnResult run_sparse_churn_trajectory(

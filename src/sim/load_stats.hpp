@@ -50,8 +50,10 @@ struct LoadSummary {
 
 /// Summarizes the selected per-node loads: `loads[i]` enters iff
 /// `include(i)` (liveness / presence filter -- dead slots hold no load and
-/// would deflate the distribution).  Sorting a copy gives the exact p99
-/// (the ceil-index convention: the smallest load >= 99% of nodes' loads).
+/// would deflate the distribution).  The p99 is an exact order statistic
+/// of a copy (the ceil-index convention: the smallest load >= 99% of
+/// nodes' loads), selected by std::nth_element -- the value a full sort
+/// would put at that index, in linear time.
 template <typename Include>
 LoadSummary summarize_load(const std::vector<std::uint64_t>& loads,
                            Include include) {
@@ -75,9 +77,12 @@ LoadSummary summarize_load(const std::vector<std::uint64_t>& loads,
     out.max = std::max(out.max, v);
   }
   out.total = static_cast<std::uint64_t>(sum);
-  std::sort(kept.begin(), kept.end());
-  out.p99 = kept[(kept.size() - 1) -
-                 (kept.size() - 1) / 100];  // index ceil(0.99 * (m - 1))
+  // Index ceil(0.99 * (m - 1)).
+  const std::size_t rank = (kept.size() - 1) - (kept.size() - 1) / 100;
+  std::nth_element(kept.begin(),
+                   kept.begin() + static_cast<std::ptrdiff_t>(rank),
+                   kept.end());
+  out.p99 = kept[rank];
   const double n = static_cast<double>(kept.size());
   out.mean = static_cast<double>(sum) / n;
   // Population variance from the exact integer sums; clamp the rounding

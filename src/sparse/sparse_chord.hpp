@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "sparse/sparse_overlay.hpp"
@@ -16,7 +18,14 @@ namespace dht::sparse {
 
 class SparseChordOverlay final : public SparseOverlay {
  public:
-  explicit SparseChordOverlay(const SparseIdSpace& space);
+  /// Nodes per build block: the unit of work the constructor's two sweeps
+  /// hand to the shard pool.
+  static constexpr std::uint64_t kBuildBlock = std::uint64_t{1} << 14;
+
+  /// Builds the route rows on `threads` workers (0 = all cores); the
+  /// tables are identical for every value.
+  explicit SparseChordOverlay(const SparseIdSpace& space,
+                              unsigned threads = 0);
 
   std::string_view name() const noexcept override { return "sparse-ring"; }
   const SparseIdSpace& space() const noexcept override { return *space_; }
@@ -38,7 +47,9 @@ class SparseChordOverlay final : public SparseOverlay {
   ///
   /// The build is a linear sweep over the sorted ids: one forward-only
   /// successor cursor per finger level, and the cursors emit each row
-  /// already in decreasing-progress order.
+  /// already in decreasing-progress order.  The sweep runs in blocks of
+  /// kBuildBlock nodes on the shard pool, each block seeding its cursors
+  /// with one binary search per level.
   ///
   /// Two storage shapes, selected by the key-space width:
   ///  - bits <= 32 (route_packed() non-empty): each entry is one u64,
@@ -49,14 +60,14 @@ class SparseChordOverlay final : public SparseOverlay {
   ///  - bits > 32 (route_packed() empty): parallel u64 progress and u32
   ///    target arrays, as progress values no longer fit 32 bits.
   int route_stride() const noexcept { return route_stride_; }
-  const std::vector<std::uint64_t>& route_packed() const noexcept {
-    return route_packed_;
+  std::span<const std::uint64_t> route_packed() const noexcept {
+    return {route_packed_.get(), route_packed_ ? route_size_ : 0};
   }
-  const std::vector<std::uint64_t>& route_progress() const noexcept {
-    return route_progress_;
+  std::span<const std::uint64_t> route_progress() const noexcept {
+    return {route_progress_.get(), route_progress_ ? route_size_ : 0};
   }
-  const std::vector<NodeIndex>& route_targets() const noexcept {
-    return route_targets_;
+  std::span<const NodeIndex> route_targets() const noexcept {
+    return {route_targets_.get(), route_targets_ ? route_size_ : 0};
   }
   /// Real (unpadded) entries in each row; N bytes, so the kernels' length
   /// lookups stay cache-resident.
@@ -72,10 +83,13 @@ class SparseChordOverlay final : public SparseOverlay {
   const SparseIdSpace* space_;
   // Fixed-stride padded rows of (progress, target), progress descending:
   // packed single-u64 entries when bits <= 32, parallel arrays otherwise.
+  // Plain arrays rather than vectors so the build can skip a serial
+  // zero-fill: every entry, pad or real, is written by the block sweeps.
   int route_stride_ = 0;
-  std::vector<std::uint64_t> route_packed_;
-  std::vector<std::uint64_t> route_progress_;
-  std::vector<NodeIndex> route_targets_;
+  std::uint64_t route_size_ = 0;  // entries per array: N x stride
+  std::unique_ptr<std::uint64_t[]> route_packed_;
+  std::unique_ptr<std::uint64_t[]> route_progress_;
+  std::unique_ptr<NodeIndex[]> route_targets_;
   std::vector<std::uint8_t> route_lens_;
 };
 

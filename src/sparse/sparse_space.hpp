@@ -7,10 +7,11 @@
 // indexed 0..N-1 in ring order of their identifiers; routing operates on
 // identifiers, liveness and pair sampling on indices.  Key spaces up to
 // 2^63 and populations up to 2^26 nodes are supported: per-identifier
-// queries are binary searches over the sorted id array, so only the
-// population is materialized, never the key space.  The overlay builds,
-// which ask such a question for every (node, level), sweep the sorted ids
-// instead (sparse_chord.cpp, sparse_kademlia.cpp).
+// queries are binary searches over the sorted id array, windowed by a
+// prefix-seek table (prefix_seek.hpp, about N/8 buckets: 512 KiB at 2^20
+// nodes), so only the population is materialized, never the key space.
+// The overlay builds, which ask such a question for every (node, level),
+// sweep the sorted ids instead (sparse_chord.cpp, sparse_kademlia.cpp).
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 
 #include "math/rng.hpp"
 #include "sim/node_id.hpp"
+#include "sparse/prefix_seek.hpp"
 
 namespace dht::sparse {
 
@@ -67,6 +69,7 @@ class SparseIdSpace {
  private:
   int bits_;
   std::vector<sim::NodeId> ids_;  // sorted ascending
+  PrefixSeek seek_;               // windows every id query
 };
 
 }  // namespace dht::sparse

@@ -7,7 +7,9 @@ asserts on its JSON record:
   1. a seconds metric keeps each arm's minimum, a throughput metric its
      maximum;
   2. each arm's median, IQR and per-repeat values are reported;
-  3. the runner exits 1 when no rows pair between the arms.
+  3. the runner exits 1 when no rows pair between the arms;
+  4. --control runs A as a third arm, reports the A-vs-A band, and marks
+     a row resolved only when its speedup lies outside that band.
 
 Usage: check_perf_ab.py <repo-root>
 """
@@ -19,8 +21,9 @@ import subprocess
 import sys
 import tempfile
 
-# Per-call rows of each stub: call c prints ROWS[arm][c % 3].  One row per
-# call, keyed like a perf_simulator row.
+# Per-call rows of each stub: call c prints ROWS[name][c % 3].  One row
+# per call, keyed like a perf_simulator row.  "near" is A's rows made 5%
+# faster: a gain smaller than A's own repeat-to-repeat spread.
 ROWS = {
     "a": [
         {"build_seconds": 3.0, "routes_per_sec": 100.0},
@@ -31,6 +34,11 @@ ROWS = {
         {"build_seconds": 1.5, "routes_per_sec": 400.0},
         {"build_seconds": 1.0, "routes_per_sec": 600.0},
         {"build_seconds": 2.5, "routes_per_sec": 500.0},
+    ],
+    "near": [
+        {"build_seconds": 2.85, "routes_per_sec": 105.0},
+        {"build_seconds": 1.9, "routes_per_sec": 315.0},
+        {"build_seconds": 3.8, "routes_per_sec": 210.0},
     ],
 }
 
@@ -47,24 +55,25 @@ print(json.dumps(row))
 """
 
 
-def write_stub(directory, arm, geometry):
+def write_stub(directory, arm, geometry, rows):
     path = os.path.join(directory, f"stub_{arm}.py")
     with open(path, "w") as fh:
         fh.write(STUB.format(python=sys.executable, arm=arm,
-                             geometry=geometry, rows=repr(ROWS[arm])))
+                             geometry=geometry, rows=repr(ROWS[rows])))
     os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
     return path
 
 
-def run_ab(repo_root, directory, metric, geometry_b="ring"):
+def run_ab(repo_root, directory, metric, geometry_b="ring", rows_b="b",
+           control=False):
     for name in os.listdir(directory):
         os.remove(os.path.join(directory, name))
-    stub_a = write_stub(directory, "a", "ring")
-    stub_b = write_stub(directory, "b", geometry_b)
+    stub_a = write_stub(directory, "a", "ring", "a")
+    stub_b = write_stub(directory, "b", geometry_b, rows_b)
     proc = subprocess.run(
         [sys.executable, os.path.join(repo_root, "scripts", "perf_ab.py"),
          "--a", stub_a, "--b", stub_b, "--repeats", "3",
-         "--metric", metric],
+         "--metric", metric] + (["--control"] if control else []),
         capture_output=True, text=True, check=False)
     return proc
 
@@ -74,8 +83,9 @@ def expect(condition, message, failures):
         failures.append(message)
 
 
-def check_record(repo_root, directory, metric, expected, failures):
-    proc = run_ab(repo_root, directory, metric)
+def check_record(repo_root, directory, metric, expected, failures,
+                 **run_options):
+    proc = run_ab(repo_root, directory, metric, **run_options)
     if proc.returncode != 0:
         failures.append(f"{metric}: exit {proc.returncode}\n{proc.stderr}")
         return
@@ -84,12 +94,26 @@ def check_record(repo_root, directory, metric, expected, failures):
     expect(len(rows) == 1, f"{metric}: expected one paired row", failures)
     row = rows[0]
     for field, value in expected.items():
-        expect(abs(row[field] - value) < 1e-9 if isinstance(value, float)
-               else row[field] == value,
-               f"{metric}: {field} = {row[field]!r}, expected {value!r}",
+        got = row.get(field)
+        close = (isinstance(value, float) and isinstance(got, float)
+                 and abs(got - value) < 1e-9)
+        if isinstance(value, list) and isinstance(got, list):
+            close = len(got) == len(value) and all(
+                abs(g - v) < 1e-9 for g, v in zip(got, value))
+        expect(close or got == value,
+               f"{metric}: {field} = {got!r}, expected {value!r}",
                failures)
     expect("median" in proc.stderr and "IQR" in proc.stderr,
            f"{metric}: stderr summary lacks median/IQR", failures)
+    if run_options.get("control"):
+        expect(record.get("control") is True,
+               f"{metric}: record lacks control = true", failures)
+        expect(("UNRESOLVED" in proc.stderr) != row["resolved"],
+               f"{metric}: stderr verdict disagrees with 'resolved'",
+               failures)
+    else:
+        expect("control_band" not in row,
+               f"{metric}: control fields without --control", failures)
 
 
 def main():
@@ -121,6 +145,34 @@ def main():
             "candidate_median": 500.0,
             "candidate_iqr": 100.0,
         }, failures)
+        # Control arm: the A stub serves arms A and A', alternating calls,
+        # so A = calls 0, 2, 4 = [3, 4, 2] and A' = calls 1, 3, 5 =
+        # [2, 3, 4].  Band: best-of-N 2/2 = 1 and per repeat 3/2, 4/3, 2/4,
+        # so [0.5, 1.5].  B's best-of-N 2.0x clears it...
+        check_record(repo_root, directory, "build_seconds", {
+            "baseline_values": [3.0, 4.0, 2.0],
+            "control_values": [2.0, 3.0, 4.0],
+            "control": 2.0,
+            "control_speedup": 1.0,
+            "control_band": [0.5, 1.5],
+            "speedup": 2.0,
+            "resolved": True,
+        }, failures, control=True)
+        # ... while a 5% faster B (2.0 / 1.9 = 1.053x) does not.
+        check_record(repo_root, directory, "build_seconds", {
+            "candidate": 1.9,
+            "speedup": 2.0 / 1.9,
+            "control_band": [0.5, 1.5],
+            "resolved": False,
+        }, failures, rows_b="near", control=True)
+        # Throughput: A = [100, 200, 300], A' = [300, 100, 200]; per-repeat
+        # B/A-style ratios A'/A = 3, 0.5, 2/3 and best-of-N 1, so a 1.05x
+        # gain is unresolved.
+        check_record(repo_root, directory, "routes_per_sec", {
+            "control_band": [0.5, 3.0],
+            "speedup": 1.05,
+            "resolved": False,
+        }, failures, rows_b="near", control=True)
         # No pairing: B's rows carry another geometry, so no key matches.
         proc = run_ab(repo_root, directory, "routes_per_sec",
                       geometry_b="xor")

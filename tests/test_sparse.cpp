@@ -2,6 +2,7 @@
 // work): structural invariants, dense-limit equivalence, and the density
 // reduction (sparse systems behave like the dense model at d' = log2 N).
 #include <algorithm>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <utility>
@@ -65,10 +66,12 @@ std::vector<std::pair<std::uint64_t, NodeIndex>> reference_route_row(
   return row;
 }
 
-/// Asserts the overlay's fixed-stride route tables equal the reference
-/// rows bit for bit: stride, lengths, entries and padding.
-void expect_route_rows_match_reference(const SparseIdSpace& space) {
-  const SparseChordOverlay overlay(space);
+/// Asserts the overlay's fixed-stride route tables, built on each of
+/// `thread_counts` workers (0 = all cores), equal the reference rows bit
+/// for bit: stride, lengths, entries and padding.
+void expect_route_rows_match_reference(
+    const SparseIdSpace& space,
+    std::initializer_list<unsigned> thread_counts = {0}) {
   const std::uint64_t n = space.node_count();
   std::vector<std::vector<std::pair<std::uint64_t, NodeIndex>>> rows;
   std::uint64_t widest = 1;
@@ -77,7 +80,6 @@ void expect_route_rows_match_reference(const SparseIdSpace& space) {
     widest = std::max<std::uint64_t>(widest, rows.back().size());
   }
   const std::uint64_t stride = (widest + 7) & ~std::uint64_t{7};
-  ASSERT_EQ(static_cast<std::uint64_t>(overlay.route_stride()), stride);
   std::vector<std::uint8_t> lens;
   std::vector<std::uint64_t> packed;
   std::vector<std::uint64_t> progress;
@@ -96,10 +98,27 @@ void expect_route_rows_match_reference(const SparseIdSpace& space) {
       }
     }
   }
-  EXPECT_EQ(overlay.route_lens(), lens);
-  EXPECT_EQ(overlay.route_packed(), packed);
-  EXPECT_EQ(overlay.route_progress(), progress);
-  EXPECT_EQ(overlay.route_targets(), targets);
+  for (const unsigned threads : thread_counts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const SparseChordOverlay overlay(space, threads);
+    ASSERT_EQ(static_cast<std::uint64_t>(overlay.route_stride()), stride);
+    EXPECT_EQ(overlay.route_lens(), lens);
+    EXPECT_TRUE(std::ranges::equal(overlay.route_packed(), packed));
+    EXPECT_TRUE(std::ranges::equal(overlay.route_progress(), progress));
+    EXPECT_TRUE(std::ranges::equal(overlay.route_targets(), targets));
+  }
+}
+
+/// A population whose largest id is 2^d - 1, so the top nodes' fingers all
+/// wrap past zero.
+SparseIdSpace wrapping_space(int bits, std::uint64_t n) {
+  for (std::uint64_t seed = 1;; ++seed) {
+    math::Rng rng(seed);
+    SparseIdSpace space(bits, n, rng);
+    if (space.ids().back() == space.key_space_size() - 1) {
+      return space;
+    }
+  }
 }
 
 /// Reference Kademlia constructor: one index_range binary search per
@@ -207,6 +226,74 @@ TEST(SparseIdSpace, IndexRangeCountsMembers) {
   EXPECT_EQ(b, 18u);
 }
 
+/// Asserts the windowed successor_of_key and index_range equal plain
+/// std::lower_bound / std::upper_bound over the id array.
+void expect_queries_match_plain_search(const SparseIdSpace& space,
+                                       const std::vector<sim::NodeId>& keys) {
+  const std::vector<sim::NodeId>& ids = space.ids();
+  const auto lower = [&](sim::NodeId key) {
+    return static_cast<NodeIndex>(
+        std::lower_bound(ids.begin(), ids.end(), key) - ids.begin());
+  };
+  const auto upper = [&](sim::NodeId key) {
+    return static_cast<NodeIndex>(
+        std::upper_bound(ids.begin(), ids.end(), key) - ids.begin());
+  };
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const sim::NodeId key = keys[i];
+    const NodeIndex successor = lower(key);
+    ASSERT_EQ(space.successor_of_key(key),
+              successor == ids.size() ? 0u : successor)
+        << "key " << key;
+    // Ranges from this key to itself and to a later key of the list.
+    const sim::NodeId other = keys[(i * 7 + 3) % keys.size()];
+    const sim::NodeId lo = std::min(key, other);
+    const sim::NodeId hi = std::max(key, other);
+    for (const auto& [a, b] : {std::pair{key, key}, std::pair{lo, hi}}) {
+      const auto [first, last] = space.index_range(a, b);
+      ASSERT_EQ(first, lower(a)) << "range [" << a << ", " << b << "]";
+      ASSERT_EQ(last, upper(b)) << "range [" << a << ", " << b << "]";
+    }
+  }
+}
+
+TEST(SparseIdSpace, WindowedQueriesMatchPlainSearch) {
+  struct Case {
+    int bits;
+    std::uint64_t n;
+  };
+  // Sparse spaces of several densities (1 to ~2^10 seek buckets), small
+  // populations whose table has a single bucket, and fully populated
+  // spaces (ids 0..2^d-1).
+  for (const Case c : {Case{32, 20000}, Case{40, 5000}, Case{63, 3000},
+                       Case{20, 1u << 19}, Case{16, 3}, Case{10, 2},
+                       Case{12, 1u << 12}, Case{1, 2}}) {
+    SCOPED_TRACE("bits=" + std::to_string(c.bits) +
+                 " n=" + std::to_string(c.n));
+    math::Rng rng(700 + c.bits);
+    const SparseIdSpace space(c.bits, c.n, rng);
+    const sim::NodeId mask = space.key_space_size() - 1;
+    std::vector<sim::NodeId> keys = {0, mask};
+    for (int k = 0; k < 4000; ++k) {
+      keys.push_back(rng.uniform_below(space.key_space_size()));
+    }
+    // Up to 2000 evenly spaced exact ids and their neighbours.
+    const std::uint64_t samples = std::min<std::uint64_t>(c.n, 2000);
+    for (std::uint64_t k = 0; k < samples; ++k) {
+      const sim::NodeId id =
+          space.id_of(static_cast<NodeIndex>(k * c.n / samples));
+      keys.push_back(id);
+      if (id > 0) {
+        keys.push_back(id - 1);
+      }
+      if (id < mask) {
+        keys.push_back(id + 1);
+      }
+    }
+    expect_queries_match_plain_search(space, keys);
+  }
+}
+
 TEST(SparseIdSpace, RingStepWraps) {
   math::Rng rng(5);
   const SparseIdSpace space(12, 100, rng);
@@ -288,19 +375,29 @@ TEST(SparseChord, RouteRowsMatchSuccessorReference) {
     const SparseIdSpace space(c.bits, c.n, rng);
     expect_route_rows_match_reference(space);
   }
-  // A population whose highest ids sit just below 2^d, so the top nodes'
-  // fingers all wrap past zero.
-  bool found = false;
-  for (std::uint64_t seed = 1; seed < 1000 && !found; ++seed) {
-    math::Rng rng(seed);
-    const SparseIdSpace space(12, 200, rng);
-    if (space.ids().back() == space.key_space_size() - 1) {
-      found = true;
-      SCOPED_TRACE("wrapping population, seed " + std::to_string(seed));
-      expect_route_rows_match_reference(space);
-    }
+  SCOPED_TRACE("wrapping population");
+  expect_route_rows_match_reference(wrapping_space(12, 200));
+}
+
+TEST(SparseChord, RouteRowsIdenticalAcrossThreadCounts) {
+  // Several build blocks with a partial last one, in both storage shapes;
+  // a wrapping population spanning blocks; and the two-node minimum.
+  constexpr std::uint64_t kBlock = SparseChordOverlay::kBuildBlock;
+  struct Case {
+    int bits;
+    std::uint64_t n;
+  };
+  for (const Case c : {Case{32, 3 * kBlock + 123}, Case{40, 2 * kBlock + 7},
+                       Case{20, kBlock + 1}, Case{16, 2}}) {
+    SCOPED_TRACE("bits=" + std::to_string(c.bits) +
+                 " n=" + std::to_string(c.n));
+    math::Rng rng(500 + c.bits);
+    const SparseIdSpace space(c.bits, c.n, rng);
+    expect_route_rows_match_reference(space, {1, 2, 3, 8});
   }
-  EXPECT_TRUE(found);
+  SCOPED_TRACE("wrapping population");
+  expect_route_rows_match_reference(wrapping_space(17, 2 * kBlock + 5),
+                                    {1, 2, 3, 8});
 }
 
 TEST(SparseChord, FailureFreeRoutesArrive) {

@@ -5,6 +5,7 @@
 // test_flat_sparse: fixed shards, varying thread counts, exact equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -133,6 +134,64 @@ TEST(LoadSummary, ExactDigestAndFilter) {
   EXPECT_EQ(even.total, 121u);
   EXPECT_EQ(even.p99, 100u);  // ceil-index p99 of 4 samples = the max
   EXPECT_GT(even.cv, 0.0);
+}
+
+/// The summary by a full sort: p99 read at the ceil index of the sorted
+/// copy, moments from exact integer sums.
+sim::LoadSummary sorted_reference(std::vector<std::uint64_t> loads) {
+  sim::LoadSummary out;
+  out.nodes = loads.size();
+  std::sort(loads.begin(), loads.end());
+  unsigned __int128 sum = 0;
+  unsigned __int128 sum_sq = 0;
+  for (const std::uint64_t v : loads) {
+    sum += v;
+    sum_sq += static_cast<unsigned __int128>(v) * v;
+  }
+  out.total = static_cast<std::uint64_t>(sum);
+  out.max = loads.back();
+  // The smallest index i with 100 i >= 99 (m - 1).
+  out.p99 = loads[(99 * (loads.size() - 1) + 99) / 100];
+  const double n = static_cast<double>(loads.size());
+  out.mean = static_cast<double>(sum) / n;
+  const double centered =
+      static_cast<double>(sum_sq) - n * out.mean * out.mean;
+  const double variance = (centered < 0.0 ? 0.0 : centered) / n;
+  out.cv = out.mean > 0.0 ? std::sqrt(variance) / out.mean : 0.0;
+  return out;
+}
+
+TEST(LoadSummary, MatchesSortedReference) {
+  math::Rng rng(42);
+  std::vector<std::vector<std::uint64_t>> cases;
+  // Random loads over a wide range, in several sizes around the p99 index
+  // steps (m - 1 crossing multiples of 100).
+  for (const std::size_t m : {2u, 99u, 100u, 101u, 201u, 1000u, 94321u}) {
+    std::vector<std::uint64_t> loads(m);
+    for (auto& v : loads) {
+      v = rng.uniform_below(std::uint64_t{1} << 40);
+    }
+    cases.push_back(std::move(loads));
+  }
+  cases.push_back(std::vector<std::uint64_t>(1234, 77));  // all equal
+  cases.push_back({9});                                   // single element
+  // Tie-heavy: a handful of distinct values, the p99 inside a long run.
+  std::vector<std::uint64_t> ties(5000);
+  for (auto& v : ties) {
+    v = rng.uniform_below(4) * 1000;
+  }
+  cases.push_back(std::move(ties));
+  for (const auto& loads : cases) {
+    SCOPED_TRACE("m=" + std::to_string(loads.size()));
+    const sim::LoadSummary got = sim::summarize_load(loads);
+    const sim::LoadSummary want = sorted_reference(loads);
+    EXPECT_EQ(got.nodes, want.nodes);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.p99, want.p99);
+    EXPECT_EQ(got.total, want.total);
+    EXPECT_EQ(got.mean, want.mean);
+    EXPECT_EQ(got.cv, want.cv);
+  }
 }
 
 struct ChordInstance {
