@@ -50,7 +50,16 @@
 //    "pd":0.02,"pr":0.08,"refresh":10,"rho":0.0,"q_eff":0.0746,"seed":1,
 //    "seconds":1.23,"shard_rounds_per_sec":97.6,"routes":48000,
 //    "routability":0.9991,"mean_population":65519.2,
+//    "maint_examined":0,"maint_due":22836481,"maint_draws":0,
+//    "maint_repairs":0,"maint_succ_rebuilds":1330897,
+//    "maint_rows_rebuilt":158027,"row_bytes":46530560,
 //    "identical_across_threads":true}
+//
+// The maint_* columns are the shard-merged maintenance work counters
+// (churn::MaintenanceCounters: entries the rho > 0 scan examined, due
+// refreshes, repair draws, repairs, successor-list rebuilds, whole-row
+// rebuilds) and row_bytes the per-entry row state of one shard world --
+// exact integers, gated across thread counts like the estimates.
 //
 // The section runs the thread sweep twice: the round-synchronous
 // single-contact geometric configuration above, and the full dynamic
@@ -845,6 +854,7 @@ int main(int argc, char** argv) {
         bool identical = true;
         if (have_reference) {
           identical = reference.overall == result.overall &&
+                      reference.maintenance == result.maintenance &&
                       reference.load_max == result.load_max &&
                       reference.load_p99 == result.load_p99 &&
                       reference.load_cv == result.load_cv &&
@@ -864,6 +874,7 @@ int main(int argc, char** argv) {
         const auto routes =
             static_cast<unsigned long long>(result.overall.attempts);
         const double route_s = profile[obs::Phase::kRoute];
+        const churn::MaintenanceCounters& m = result.maintenance;
         std::printf(
             "{\"bench\":\"perf_simulator\",\"section\":\"sparse_churn\","
             "\"geometry\":\"%s\",\"threads\":%u,\"n0\":%llu,"
@@ -880,6 +891,10 @@ int main(int argc, char** argv) {
             "\"routability\":%.6f,\"availability\":%.6f,"
             "\"load_max\":%llu,\"load_p99\":%.1f,\"load_cv\":%.6f,"
             "\"mean_population\":%.1f,"
+            "\"maint_examined\":%llu,\"maint_due\":%llu,"
+            "\"maint_draws\":%llu,\"maint_repairs\":%llu,"
+            "\"maint_succ_rebuilds\":%llu,\"maint_rows_rebuilt\":%llu,"
+            "\"row_bytes\":%llu,"
             "\"identical_across_threads\":%s}\n",
             churn::to_string(mode.geometry), threads,
             static_cast<unsigned long long>(cfg.sparse_churn_n),
@@ -900,6 +915,13 @@ int main(int argc, char** argv) {
             result.overall.routability(), result.overall.availability(),
             static_cast<unsigned long long>(result.load_max), result.load_p99,
             result.load_cv, result.mean_population,
+            static_cast<unsigned long long>(m.entries_examined),
+            static_cast<unsigned long long>(m.due_refreshes),
+            static_cast<unsigned long long>(m.repair_draws),
+            static_cast<unsigned long long>(m.repairs),
+            static_cast<unsigned long long>(m.successor_rebuilds),
+            static_cast<unsigned long long>(m.rows_rebuilt),
+            static_cast<unsigned long long>(result.row_bytes),
             identical ? "true" : "false");
       }
     }

@@ -29,6 +29,9 @@ Usage:
              [--args "--threads 1 --pairs 0 ..."] [--repeats 3]
              [--metric routes_per_sec] [--section sparse_churn]
              [--filter key=value ...] [--control] [--out BENCH.json]
+  perf_ab.py --bench-a ../parent --bench-b . --workload churn_sync_sweep
+             [--workload ...] [--seed 1 --seed 20061] [--pairs 10]
+             [--seconds S] [--control] [--out BENCH_prNN.json]
 
 The A/B binaries run with identical arguments.  --filter restricts the
 compared rows (e.g. --filter inflight=false keeps only sync-mode rows).
@@ -38,11 +41,28 @@ arms, and the geomean speedup.  Speedups are > 1 when B is better: B/A for
 higher-is-better metrics, A/B for seconds.  With --control each row also
 carries the control's values, its speedup and band, and `resolved`.
 Exit status: 0 on success, 1 if no rows matched or a run failed.
+
+The second form is the A/B path for the benchmark of record: it runs
+`python3 perfbench/run.py --workload W --seed S --trace 0` inside two
+checkouts in alternation, `--pairs` times per (workload, seed) series.
+The order rotates every pair so each arm runs first equally often:
+A B, B A, A B, ... or, with --control, A B A', B A' A, A' A B, ...  Each checkout builds its own
+measuring program the first time.  For every end-to-end metric declared in
+A's BENCHMARK.json it reports each arm's median, IQR and values, the
+number of pairs B wins (in the metric's declared direction), the relative
+change of the medians, and a verdict: "gain" when B wins at least 9 of
+every 10 pairs AND its median beats A's by more than A's IQR, "loss" for
+the mirror image, "unresolved" otherwise.  `within_bound` tells whether a
+worse median stays inside the metric's declared bound.  With --control
+the A-vs-A arm gets the same statistics, the noise such a comparison
+shows on the same code.  A run that fails or reports incorrect results
+stops the comparison with exit status 1.
 """
 
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -131,10 +151,168 @@ def run_arm(binary, args):
     return proc.stdout
 
 
+# The ROADMAP acceptance rule for a claimed gain: B better on at least this
+# share of the pairs, and its median ahead by more than A's IQR.
+WIN_SHARE = 0.9
+
+
+def bench_metrics(checkout):
+    """The end-to-end metrics a checkout's BENCHMARK.json declares:
+    {name: {"unit", "better", "bound"}}."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return {m["name"]: {"unit": m.get("unit", ""), "better": m["better"],
+                        "bound": m.get("bound")}
+            for m in spec["end_to_end"]}
+
+
+def run_bench(checkout, workload, seed, seconds):
+    """One benchmark-of-record run in `checkout`; returns {metric: value}
+    from the JSON line run.py ends with, or exits 1 on a failed run."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    if seconds:
+        cmd += ["--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    record = None
+    for line in reversed(proc.stdout.splitlines()):
+        line = line.strip()
+        if line.startswith("{"):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            break
+    if proc.returncode != 0 or record is None or not record.get("correct"):
+        sys.stderr.write(f"FAIL: {' '.join(cmd)} in {checkout} exited "
+                         f"{proc.returncode}\n{proc.stderr[-2000:]}")
+        sys.exit(1)
+    return {name: entry["value"]
+            for name, entry in record["metrics"].items()}
+
+
+def compare_series(baseline, candidate, better):
+    """Pairwise wins, median change and verdict of candidate vs baseline
+    (lists in pair order)."""
+    lower = better == "lower"
+    a = summarize(baseline, lower)
+    b = summarize(candidate, lower)
+    pairs = min(len(baseline), len(candidate))
+    wins = sum((y < x) if lower else (y > x)
+               for x, y in zip(baseline, candidate))
+    losses = sum((y > x) if lower else (y < x)
+                 for x, y in zip(baseline, candidate))
+    gap = (a["median"] - b["median"]) if lower else (b["median"] -
+                                                      a["median"])
+    needed = math.ceil(WIN_SHARE * pairs)
+    if pairs > 0 and wins >= needed and gap > a["iqr"]:
+        verdict = "gain"
+    elif pairs > 0 and losses >= needed and -gap > a["iqr"]:
+        verdict = "loss"
+    else:
+        verdict = "unresolved"
+    change = (b["median"] / a["median"] - 1.0) if a["median"] else 0.0
+    return {"pairs": pairs, "wins": wins, "losses": losses,
+            "median_change": change, "verdict": verdict}, a, b
+
+
+def bench_main(opts):
+    """The two-checkout benchmark-of-record mode (see the module doc)."""
+    metrics = bench_metrics(opts.bench_a)
+    workloads = opts.workload or ["churn_sync_sweep"]
+    seeds = opts.seed or [1]
+    arms = [("a", opts.bench_a), ("b", opts.bench_b)]
+    if opts.control:
+        arms.append(("c", opts.bench_a))
+    series = []
+    for workload in workloads:
+        for seed in seeds:
+            values = {arm: {} for arm, _ in arms}
+            for pair in range(opts.pairs):
+                # Rotate the run order each pair so every arm goes first
+                # equally often: a drift in the box's load (or a warm
+                # cache left by the previous run) then favors no arm.
+                shift = pair % len(arms)
+                for arm, checkout in arms[shift:] + arms[:shift]:
+                    sys.stderr.write(
+                        f"[perf_ab] {workload} seed {seed} pair "
+                        f"{pair + 1}/{opts.pairs} arm {arm.upper()}: "
+                        f"{checkout}\n")
+                    got = run_bench(checkout, workload, seed, opts.seconds)
+                    for name, value in got.items():
+                        values[arm].setdefault(name, []).append(value)
+            results = {}
+            for name, meta in metrics.items():
+                if not all(name in values[arm] for arm, _ in arms):
+                    continue
+                stats, a, b = compare_series(values["a"][name],
+                                             values["b"][name],
+                                             meta["better"])
+                bound = meta["bound"]
+                worse = (stats["median_change"] if meta["better"] == "lower"
+                         else -stats["median_change"])
+                stats["within_bound"] = bound is None or worse <= bound
+                entry = dict(meta, a=a, b=b, **stats)
+                note = ""
+                if opts.control:
+                    control, _, c = compare_series(values["a"][name],
+                                                   values["c"][name],
+                                                   meta["better"])
+                    entry["c"] = c
+                    entry["control"] = control
+                    note = (f"; A-vs-A {control['wins']}/{control['pairs']}"
+                            f" wins, {control['median_change']:+.1%}")
+                results[name] = entry
+                sys.stderr.write(
+                    f"[perf_ab] {workload} seed {seed} {name}: median "
+                    f"{a['median']:.4g} (IQR {a['iqr']:.3g}) -> "
+                    f"{b['median']:.4g} (IQR {b['iqr']:.3g}), "
+                    f"{stats['median_change']:+.1%}, B wins "
+                    f"{stats['wins']}/{stats['pairs']}: {stats['verdict']}"
+                    f"{'' if stats['within_bound'] else ' OUTSIDE BOUND'}"
+                    f"{note}\n")
+            series.append({"workload": workload, "seed": seed,
+                           "metrics": results})
+    record = {
+        "bench": "perf_ab",
+        "mode": "perfbench",
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   "--trace 0" + (f" --seconds {opts.seconds}"
+                                  if opts.seconds else ""),
+        "a": opts.bench_a,
+        "b": opts.bench_b,
+        "pairs": opts.pairs,
+        "control": opts.control,
+        "rule": f"gain: B wins >= {WIN_SHARE:.0%} of pairs and its median "
+                "beats A's by more than A's IQR",
+        "series": series,
+    }
+    text = json.dumps(record, indent=2) + "\n"
+    if opts.out:
+        with open(opts.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--a", required=True, help="baseline binary (arm A)")
-    ap.add_argument("--b", required=True, help="candidate binary (arm B)")
+    ap.add_argument("--a", help="baseline binary (arm A)")
+    ap.add_argument("--b", help="candidate binary (arm B)")
+    ap.add_argument("--bench-a", default="",
+                    help="baseline checkout for the perfbench mode")
+    ap.add_argument("--bench-b", default="",
+                    help="candidate checkout for the perfbench mode")
+    ap.add_argument("--workload", action="append", default=[],
+                    help="perfbench workload (repeatable; default "
+                         "churn_sync_sweep)")
+    ap.add_argument("--seed", type=int, action="append", default=[],
+                    help="perfbench seed (repeatable; default 1)")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternating runs per arm in the perfbench mode")
+    ap.add_argument("--seconds", type=float, default=0.0,
+                    help="perfbench --seconds (0: BENCHMARK.json's)")
     ap.add_argument("--args", default="", help="arguments for both arms")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--metric", default="routes_per_sec",
@@ -153,6 +331,13 @@ def main():
                          "rows whose speedup stays inside the A-vs-A band")
     ap.add_argument("--out", default="", help="write the JSON record here")
     opts = ap.parse_args()
+    if opts.bench_a or opts.bench_b:
+        if not (opts.bench_a and opts.bench_b) or opts.pairs < 1:
+            ap.error("the perfbench mode needs --bench-a, --bench-b and "
+                     "--pairs >= 1")
+        return bench_main(opts)
+    if not (opts.a and opts.b):
+        ap.error("--a and --b are required (or --bench-a and --bench-b)")
 
     filters = []
     for item in opts.filter:

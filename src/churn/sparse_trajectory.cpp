@@ -18,17 +18,19 @@ namespace dht::churn {
 // per 64 slots + the flat generation array), the row-major tables with
 // their cached install-time target ids, and the successor lists.  Kernels
 // compare identifiers but step between slots -- the sparse/flat_sparse.hpp
-// pattern with mutable membership underneath.
+// pattern with mutable membership underneath.  `Id` is the cached-id word
+// of the rows (u32 when the key space fits in 32 bits, else u64); every
+// kernel is written once over it and widens a cached id only where it
+// meets a full identifier.
+template <typename Id>
 struct ChurnKernelCtx {
   const std::uint64_t* ids = nullptr;
   const std::uint64_t* alive_bits = nullptr;
   const std::uint32_t* generations = nullptr;
-  const NodeSlot* table = nullptr;
-  const std::uint32_t* table_gen = nullptr;
-  const std::uint64_t* table_id = nullptr;
-  const NodeSlot* successors = nullptr;
-  const std::uint32_t* successors_gen = nullptr;
-  const std::uint64_t* successors_id = nullptr;
+  const std::uint64_t* table_links = nullptr;
+  const Id* table_id = nullptr;
+  const std::uint64_t* successor_links = nullptr;
+  const Id* successors_id = nullptr;
   int row_width = 0;
   int bucket_k = 1;  // kademlia contacts per bucket (row_width = d * k)
   int s = 0;
@@ -47,7 +49,26 @@ using flat::SparseRouteStatus;
 // lattice fits on the stack.
 constexpr int kMaxCandidates = 128;
 
-inline bool ctx_slot_alive(const ChurnKernelCtx& c, NodeSlot slot) {
+// An entry's link word: the target slot in the low half, the generation
+// it was installed against in the high half.  One load answers both
+// halves of the validity probe.  An empty cell is kNoSlot with
+// generation 0.
+constexpr std::uint64_t kEmptyLink = kNoSlot;
+
+inline std::uint64_t make_link(NodeSlot slot, std::uint32_t generation) {
+  return (static_cast<std::uint64_t>(generation) << 32) | slot;
+}
+
+inline NodeSlot link_slot(std::uint64_t link) {
+  return static_cast<NodeSlot>(link);
+}
+
+inline std::uint32_t link_generation(std::uint64_t link) {
+  return static_cast<std::uint32_t>(link >> 32);
+}
+
+template <typename Id>
+inline bool ctx_slot_alive(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
   return ((c.alive_bits[slot >> 6] >> (slot & 63)) & 1) != 0;
 }
 
@@ -58,10 +79,11 @@ inline bool ctx_slot_alive(const ChurnKernelCtx& c, NodeSlot slot) {
 // this probe passes (ids change only on rejoin, which bumps the
 // generation) -- so screening candidates by cached geometry first can
 // never change which entry a kernel picks.
-inline bool ctx_entry_valid(const ChurnKernelCtx& c, NodeSlot entry,
-                            std::uint32_t generation) {
+template <typename Id>
+inline bool ctx_link_valid(const ChurnKernelCtx<Id>& c, std::uint64_t link) {
+  const NodeSlot entry = link_slot(link);
   return entry != kNoSlot && ctx_slot_alive(c, entry) &&
-         c.generations[entry] == generation;
+         c.generations[entry] == link_generation(link);
 }
 
 // Classifies a no-admissible-hop drop for the failure taxonomy: if the
@@ -71,14 +93,15 @@ inline bool ctx_entry_valid(const ChurnKernelCtx& c, NodeSlot entry,
 // a dead-entry stall.  The probe re-reads state the failing step already
 // touched: rng-free, so classification is a pure function of the frozen
 // snapshot and merges bit-identically at any thread count.
-inline obs::RouteFailure classify_drop(const ChurnKernelCtx& c,
+template <typename Id>
+inline obs::RouteFailure classify_drop(const ChurnKernelCtx<Id>& c,
                                        NodeSlot cur) {
   if (c.s > 0) {
     const std::uint64_t base = cur * static_cast<std::uint64_t>(c.s);
     for (int t = 0; t < c.s; ++t) {
-      const std::uint64_t off = base + static_cast<std::uint64_t>(t);
-      const NodeSlot e = c.successors[off];
-      if (e != cur && ctx_entry_valid(c, e, c.successors_gen[off])) {
+      const std::uint64_t link =
+          c.successor_links[base + static_cast<std::uint64_t>(t)];
+      if (link_slot(link) != cur && ctx_link_valid(c, link)) {
         return obs::RouteFailure::kDeadEntry;
       }
     }
@@ -96,16 +119,19 @@ struct StepResult {
 
 // Warms the next hop's sequential working set: the cached-id row (and
 // successor-id row), the only per-hop streams the ring kernels scan.
-inline void prefetch_ring_row(const ChurnKernelCtx& c, NodeSlot slot) {
+template <typename Id>
+inline void prefetch_ring_row(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
   const auto* row = reinterpret_cast<const char*>(
       c.table_id + slot * static_cast<std::uint64_t>(c.row_width));
-  for (int off = 0; off < c.row_width * 8; off += 64) {
+  const int row_bytes = c.row_width * static_cast<int>(sizeof(Id));
+  for (int off = 0; off < row_bytes; off += 64) {
     __builtin_prefetch(row + off);
   }
   if (c.s > 0) {
     const auto* succ = reinterpret_cast<const char*>(
         c.successors_id + slot * static_cast<std::uint64_t>(c.s));
-    for (int off = 0; off < c.s * 8; off += 64) {
+    const int succ_bytes = c.s * static_cast<int>(sizeof(Id));
+    for (int off = 0; off < succ_bytes; off += 64) {
       __builtin_prefetch(succ + off);
     }
   }
@@ -113,7 +139,8 @@ inline void prefetch_ring_row(const ChurnKernelCtx& c, NodeSlot slot) {
 
 // Warms the first bucket the next XOR hop will read -- its index is a
 // pure function of the new distance -- in the cached-id row.
-inline void prefetch_xor_bucket(const ChurnKernelCtx& c, NodeSlot slot,
+template <typename Id>
+inline void prefetch_xor_bucket(const ChurnKernelCtx<Id>& c, NodeSlot slot,
                                 std::uint64_t cur_id,
                                 std::uint64_t target_id) {
   const std::uint64_t distance = cur_id ^ target_id;
@@ -125,9 +152,58 @@ inline void prefetch_xor_bucket(const ChurnKernelCtx& c, NodeSlot slot,
       slot * static_cast<std::uint64_t>(c.row_width) +
       static_cast<std::uint64_t>(d - std::bit_width(distance)) *
           static_cast<std::uint64_t>(c.bucket_k);
-  for (int cell = 0; cell < c.bucket_k; cell += 8) {
+  constexpr int kIdsPerLine = 64 / static_cast<int>(sizeof(Id));
+  for (int cell = 0; cell < c.bucket_k; cell += kIdsPerLine) {
     __builtin_prefetch(&c.table_id[base + static_cast<std::uint64_t>(cell)]);
   }
+}
+
+// Clockwise progress of each candidate from `cur_id`, in the id word: all
+// identifiers lie below 2^bits <= 2^(8 sizeof(Id)), so the modular
+// difference taken in Id and masked equals the u64 one.  Row cells come
+// first, then the successor list.
+template <typename Id>
+inline void ring_progress(const ChurnKernelCtx<Id>& c, NodeSlot cur,
+                          std::uint64_t cur_id, Id* progress) {
+  const auto mask = static_cast<Id>(c.key_mask);
+  const auto from = static_cast<Id>(cur_id);
+  const Id* row = c.table_id + cur * static_cast<std::uint64_t>(c.row_width);
+  for (int j = 0; j < c.row_width; ++j) {
+    progress[j] = static_cast<Id>(row[j] - from) & mask;
+  }
+  const Id* succ = c.successors_id + cur * static_cast<std::uint64_t>(c.s);
+  for (int t = 0; t < c.s; ++t) {
+    progress[c.row_width + t] = static_cast<Id>(succ[t] - from) & mask;
+  }
+}
+
+// The max-progress admissible candidate (1 <= p <= distance, as the single
+// wrap-around compare p - 1 < distance: p = 0 wraps past every distance
+// the key space allows), or -1.
+template <typename Id>
+inline int best_candidate(const Id* progress, int m, Id distance) {
+  Id best = 0;
+  int bj = -1;
+  for (int j = 0; j < m; ++j) {
+    const Id p = progress[j];
+    if (static_cast<Id>(p - 1) < distance && p > best) {
+      best = p;
+      bj = j;
+    }
+  }
+  return bj;
+}
+
+// Row offset (row cell) or successor-list offset (successor entry) of
+// candidate `j` of `cur`'s ring lattice.
+template <typename Id>
+inline std::uint64_t candidate_offset(const ChurnKernelCtx<Id>& c,
+                                      NodeSlot cur, int j) {
+  return j < c.row_width
+             ? cur * static_cast<std::uint64_t>(c.row_width) +
+                   static_cast<std::uint64_t>(j)
+             : cur * static_cast<std::uint64_t>(c.s) +
+                   static_cast<std::uint64_t>(j - c.row_width);
 }
 
 // Chord / Symphony: greedy clockwise without overshoot over the table row
@@ -141,50 +217,25 @@ inline void prefetch_xor_bucket(const ChurnKernelCtx& c, NodeSlot slot,
 // only possible against invalid entries (present ids are distinct), so
 // the surviving pick equals the historical current-id kernel's bit for
 // bit.  Empty cells carry the owner's own id: progress 0, inadmissible.
-inline StepResult step_clockwise(const ChurnKernelCtx& c, NodeSlot cur,
+template <typename Id>
+inline StepResult step_clockwise(const ChurnKernelCtx<Id>& c, NodeSlot cur,
                                  std::uint64_t cur_id,
                                  std::uint64_t target_id) {
-  const std::uint64_t distance = (target_id - cur_id) & c.key_mask;
-  const std::uint64_t row_base =
-      cur * static_cast<std::uint64_t>(c.row_width);
-  const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
+  const auto distance = static_cast<Id>((target_id - cur_id) & c.key_mask);
   const int m = c.row_width + c.s;
-  std::uint64_t progress[kMaxCandidates];
-  for (int j = 0; j < c.row_width; ++j) {
-    progress[j] =
-        (c.table_id[row_base + static_cast<std::uint64_t>(j)] - cur_id) &
-        c.key_mask;
-  }
-  for (int t = 0; t < c.s; ++t) {
-    progress[c.row_width + t] =
-        (c.successors_id[succ_base + static_cast<std::uint64_t>(t)] -
-         cur_id) &
-        c.key_mask;
-  }
+  Id progress[kMaxCandidates];
+  ring_progress(c, cur, cur_id, progress);
   for (;;) {
-    // Admissible: 1 <= p <= distance, as the single wrap-around compare
-    // p - 1 < distance (p = 0 wraps past every distance < 2^64).
-    std::uint64_t best = 0;
-    int bj = -1;
-    for (int j = 0; j < m; ++j) {
-      const std::uint64_t p = progress[j];
-      if (p - 1 < distance && p > best) {
-        best = p;
-        bj = j;
-      }
-    }
+    const int bj = best_candidate(progress, m, distance);
     if (bj < 0) {
       return {};
     }
     const bool in_row = bj < c.row_width;
-    const std::uint64_t off =
-        in_row ? row_base + static_cast<std::uint64_t>(bj)
-               : succ_base + static_cast<std::uint64_t>(bj - c.row_width);
-    const NodeSlot entry = in_row ? c.table[off] : c.successors[off];
-    const std::uint32_t gen =
-        in_row ? c.table_gen[off] : c.successors_gen[off];
-    if (ctx_entry_valid(c, entry, gen)) {
-      return {entry, in_row ? c.table_id[off] : c.successors_id[off]};
+    const std::uint64_t off = candidate_offset(c, cur, bj);
+    const std::uint64_t link =
+        in_row ? c.table_links[off] : c.successor_links[off];
+    if (ctx_link_valid(c, link)) {
+      return {link_slot(link), in_row ? c.table_id[off] : c.successors_id[off]};
     }
     progress[bj] = 0;  // dead candidate: exclude and rescan
   }
@@ -201,7 +252,8 @@ inline StepResult step_clockwise(const ChurnKernelCtx& c, NodeSlot cur,
 // where the deep buckets have decayed (an entry equal to cur, or an empty
 // cell carrying the owner's id, has equal distance and falls out of the
 // strict compare).  bucket_k = 1 reads exactly the pre-k cells.
-inline StepResult step_xor(const ChurnKernelCtx& c, NodeSlot cur,
+template <typename Id>
+inline StepResult step_xor(const ChurnKernelCtx<Id>& c, NodeSlot cur,
                            std::uint64_t cur_id, std::uint64_t target_id) {
   const std::uint64_t cur_distance = cur_id ^ target_id;
   const std::uint64_t row_base =
@@ -218,8 +270,8 @@ inline StepResult step_xor(const ChurnKernelCtx& c, NodeSlot cur,
       const std::uint64_t j = bucket_base + static_cast<std::uint64_t>(cell);
       const std::uint64_t eid = c.table_id[j];
       if ((eid ^ target_id) < cur_distance &&
-          ctx_entry_valid(c, c.table[j], c.table_gen[j])) {
-        return {c.table[j], eid};
+          ctx_link_valid(c, c.table_links[j])) {
+        return {link_slot(c.table_links[j]), eid};
       }
     }
     diff &= ~(std::uint64_t{1} << (bw - 1));
@@ -229,12 +281,16 @@ inline StepResult step_xor(const ChurnKernelCtx& c, NodeSlot cur,
     const std::uint64_t j = succ_base + static_cast<std::uint64_t>(t);
     const std::uint64_t eid = c.successors_id[j];
     if ((eid ^ target_id) < cur_distance &&
-        ctx_entry_valid(c, c.successors[j], c.successors_gen[j])) {
-      return {c.successors[j], eid};
+        ctx_link_valid(c, c.successor_links[j])) {
+      return {link_slot(c.successor_links[j]), eid};
     }
   }
   return {};
 }
+
+template <typename Id>
+using StepFn = StepResult (*)(const ChurnKernelCtx<Id>&, NodeSlot,
+                              std::uint64_t, std::uint64_t);
 
 // One route against a frozen (sync) or moving (in-flight) world -- the
 // shared single-route core behind measure()'s scalar reference path and
@@ -244,11 +300,9 @@ inline StepResult step_xor(const ChurnKernelCtx& c, NodeSlot cur,
 // bumped for the holding slot of every forward, before the step -- a
 // dropped route charges the node that had no admissible hop, matching the
 // historical accounting.
-template <bool kInflight, typename Sweep>
-bool route_one(const ChurnKernelCtx& c,
-               StepResult (*step)(const ChurnKernelCtx&, NodeSlot,
-                                  std::uint64_t, std::uint64_t),
-               NodeSlot source, std::uint64_t source_id, NodeSlot target,
+template <bool kInflight, typename Id, typename Sweep>
+bool route_one(const ChurnKernelCtx<Id>& c, StepFn<Id> step, NodeSlot source,
+               std::uint64_t source_id, NodeSlot target,
                std::uint64_t target_id, std::uint64_t max_hops,
                std::uint64_t* load, sparse::SparseEstimate* rec,
                Sweep&& sweep) {
@@ -302,66 +356,33 @@ bool route_one(const ChurnKernelCtx& c,
 // structure, excluding failures and rescanning -- ~2 expected probes per
 // hop under churn vs the historical kernel's row_width + s pointer
 // chases.  b.dist carries the lane's current-hop id.
-inline void step_batch_ring(const ChurnKernelCtx& c, RouteBatch& b) {
+template <typename Id>
+inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
   constexpr int kLanes = RouteBatch::kLanes;
-  std::uint64_t progress[kLanes][kMaxCandidates];
-  std::uint64_t dist[kLanes];
+  Id progress[kLanes][kMaxCandidates];
+  Id dist[kLanes];
   int cand[kLanes];
   const int m = c.row_width + c.s;
   for (int l = 0; l < kLanes; ++l) {
     if (b.active[l] == 0) {
       continue;
     }
-    const NodeSlot cur = b.cur[l];
-    const std::uint64_t cur_id = b.dist[l];
-    dist[l] = (b.target_id[l] - cur_id) & c.key_mask;
-    const std::uint64_t row_base =
-        cur * static_cast<std::uint64_t>(c.row_width);
-    const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
-    std::uint64_t* prog = progress[l];
-    for (int j = 0; j < c.row_width; ++j) {
-      prog[j] =
-          (c.table_id[row_base + static_cast<std::uint64_t>(j)] - cur_id) &
-          c.key_mask;
-    }
-    for (int t = 0; t < c.s; ++t) {
-      prog[c.row_width + t] =
-          (c.successors_id[succ_base + static_cast<std::uint64_t>(t)] -
-           cur_id) &
-          c.key_mask;
-    }
-    std::uint64_t best = 0;
-    int bj = -1;
-    for (int j = 0; j < m; ++j) {
-      const std::uint64_t p = prog[j];
-      if (p - 1 < dist[l] && p > best) {
-        best = p;
-        bj = j;
-      }
-    }
+    dist[l] = static_cast<Id>((b.target_id[l] - b.dist[l]) & c.key_mask);
+    ring_progress(c, b.cur[l], b.dist[l], progress[l]);
+    const int bj = best_candidate(progress[l], m, dist[l]);
     cand[l] = bj;
     if (bj >= 0) {
-      // Warm the candidate's entry + stamp for phase B while the other
-      // lanes' scans provide latency cover.
-      const std::uint64_t off =
-          bj < c.row_width
-              ? row_base + static_cast<std::uint64_t>(bj)
-              : succ_base + static_cast<std::uint64_t>(bj - c.row_width);
-      __builtin_prefetch(bj < c.row_width ? &c.table[off]
-                                          : &c.successors[off]);
-      __builtin_prefetch(bj < c.row_width ? &c.table_gen[off]
-                                          : &c.successors_gen[off]);
+      // Warm the candidate's link word for phase B while the other lanes'
+      // scans provide latency cover.
+      const std::uint64_t off = candidate_offset(c, b.cur[l], bj);
+      __builtin_prefetch(bj < c.row_width ? &c.table_links[off]
+                                          : &c.successor_links[off]);
     }
   }
   for (int l = 0; l < kLanes; ++l) {
     if (b.active[l] == 0) {
       continue;
     }
-    const NodeSlot cur = b.cur[l];
-    const std::uint64_t row_base =
-        cur * static_cast<std::uint64_t>(c.row_width);
-    const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
-    std::uint64_t* prog = progress[l];
     int bj = cand[l];
     for (;;) {
       if (bj < 0) {
@@ -369,13 +390,11 @@ inline void step_batch_ring(const ChurnKernelCtx& c, RouteBatch& b) {
         break;
       }
       const bool in_row = bj < c.row_width;
-      const std::uint64_t off =
-          in_row ? row_base + static_cast<std::uint64_t>(bj)
-                 : succ_base + static_cast<std::uint64_t>(bj - c.row_width);
-      const NodeSlot entry = in_row ? c.table[off] : c.successors[off];
-      const std::uint32_t gen =
-          in_row ? c.table_gen[off] : c.successors_gen[off];
-      if (ctx_entry_valid(c, entry, gen)) {
+      const std::uint64_t off = candidate_offset(c, b.cur[l], bj);
+      const std::uint64_t link =
+          in_row ? c.table_links[off] : c.successor_links[off];
+      if (ctx_link_valid(c, link)) {
+        const NodeSlot entry = link_slot(link);
         b.cur[l] = entry;
         b.dist[l] = in_row ? c.table_id[off] : c.successors_id[off];
         ++b.hops[l];
@@ -384,16 +403,8 @@ inline void step_batch_ring(const ChurnKernelCtx& c, RouteBatch& b) {
         }
         break;
       }
-      prog[bj] = 0;
-      std::uint64_t best = 0;
-      bj = -1;
-      for (int j = 0; j < m; ++j) {
-        const std::uint64_t p = prog[j];
-        if (p - 1 < dist[l] && p > best) {
-          best = p;
-          bj = j;
-        }
-      }
+      progress[l][bj] = 0;
+      bj = best_candidate(progress[l], m, dist[l]);
     }
   }
 }
@@ -406,7 +417,8 @@ inline void step_batch_ring(const ChurnKernelCtx& c, RouteBatch& b) {
 // lane with no cached-closer cell anywhere holds no valid closer entry at
 // all (valid entries' cached ids are current) and drops without a single
 // random load.
-inline void step_batch_xor(const ChurnKernelCtx& c, RouteBatch& b) {
+template <typename Id>
+inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
   constexpr int kLanes = RouteBatch::kLanes;
   constexpr std::uint64_t kNoCand = ~std::uint64_t{0};
   std::uint64_t cand[kLanes];  // (offset << 1) | is_successor
@@ -450,9 +462,8 @@ inline void step_batch_xor(const ChurnKernelCtx& c, RouteBatch& b) {
     cand[l] = found;
     if (found != kNoCand) {
       const std::uint64_t j = found >> 1;
-      __builtin_prefetch((found & 1) != 0 ? &c.successors[j] : &c.table[j]);
-      __builtin_prefetch((found & 1) != 0 ? &c.successors_gen[j]
-                                          : &c.table_gen[j]);
+      __builtin_prefetch((found & 1) != 0 ? &c.successor_links[j]
+                                          : &c.table_links[j]);
     }
   }
   for (int l = 0; l < kLanes; ++l) {
@@ -465,12 +476,11 @@ inline void step_batch_xor(const ChurnKernelCtx& c, RouteBatch& b) {
     }
     const std::uint64_t j = cand[l] >> 1;
     const bool in_succ = (cand[l] & 1) != 0;
-    const NodeSlot entry = in_succ ? c.successors[j] : c.table[j];
-    const std::uint32_t gen =
-        in_succ ? c.successors_gen[j] : c.table_gen[j];
+    const std::uint64_t link =
+        in_succ ? c.successor_links[j] : c.table_links[j];
     StepResult hop;
-    if (ctx_entry_valid(c, entry, gen)) {
-      hop = {entry, in_succ ? c.successors_id[j] : c.table_id[j]};
+    if (ctx_link_valid(c, link)) {
+      hop = {link_slot(link), in_succ ? c.successors_id[j] : c.table_id[j]};
     } else {
       // Stale head candidate: resolve the lane with the full scalar walk
       // (it skips the failed cell via the same probe and continues).
@@ -498,8 +508,8 @@ inline void step_batch_xor(const ChurnKernelCtx& c, RouteBatch& b) {
 // the lane's pre-step slot -- the node that had no admissible hop -- so a
 // drop can be classified (the batch kernels overwrite cur with the kNoSlot
 // sentinel, erasing the dropping slot).
-template <typename StepBatch, typename Refill, typename Retire>
-void drive_churn_lanes(const ChurnKernelCtx& c, std::uint64_t max_hops,
+template <typename Id, typename StepBatch, typename Refill, typename Retire>
+void drive_churn_lanes(const ChurnKernelCtx<Id>& c, std::uint64_t max_hops,
                        std::uint64_t* load, StepBatch&& step_batch,
                        Refill&& refill, Retire&& retire) {
   RouteBatch b;
@@ -689,16 +699,13 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
       capacity * static_cast<std::uint64_t>(row_width_);
   const std::uint64_t succ_cells =
       capacity * static_cast<std::uint64_t>(config_.successors);
-  table_.assign(row_cells, kNoSlot);
-  table_gen_.assign(table_.size(), 0);
-  table_id_.assign(table_.size(), 0);
-  refreshed_at_.assign(table_.size(), 0);
+  table_.assign(row_cells, kEmptyLink, narrow_ids());
+  refreshed_at_.assign(row_cells, 0);
+  row_stamp_sums_.assign(capacity, 0);
   // INT32_MIN = "possibly due immediately": rows earn a real bound at
   // their first full maintenance scan.
   table_due_round_.assign(capacity, std::numeric_limits<std::int32_t>::min());
-  successors_.assign(succ_cells, kNoSlot);
-  successors_gen_.assign(successors_.size(), 0);
-  successors_id_.assign(successors_.size(), 0);
+  successors_.assign(succ_cells, kEmptyLink, narrow_ids());
   successors_refreshed_at_.assign(capacity, 0);
   for_each_alive(membership_, [&](NodeSlot slot) { rebuild_node(slot); });
   // Stagger refresh phases so entry ages start uniform over 0..R-1,
@@ -716,25 +723,85 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
           -static_cast<std::int32_t>(table_rng_.uniform_below(interval));
     }
   });
+  // The staggered stamps bypass install_cell, so the running sums start
+  // from one recount; the build's installs are not maintenance work.
+  entry_stamp_sum_ = 0;
+  for_each_alive(membership_, [&](NodeSlot slot) {
+    row_stamp_sums_[slot] = row_stamp_sum(slot);
+    entry_stamp_sum_ += row_stamp_sums_[slot];
+  });
+  maintenance_ = MaintenanceCounters{};
 }
 
-bool SparseChurnWorld::entry_valid(NodeSlot entry,
-                                   std::uint32_t generation) const {
+void SparseChurnWorld::EntryRows::assign(std::uint64_t entries,
+                                         std::uint64_t link, bool narrow) {
+  links.assign(entries, link);
+  ids32.assign(narrow ? entries : 0, 0);
+  ids64.assign(narrow ? 0 : entries, 0);
+}
+
+bool SparseChurnWorld::entry_valid(std::uint64_t link) const {
   // Probe the packed alive bitmap rather than the byte mask: the bitmap
   // for a full-sized roster is 16 KiB (L1-resident under the maintenance
   // sweeps' random slot access), the byte mask 64x that.
+  const NodeSlot entry = link_slot(link);
   return entry != kNoSlot &&
          (membership_.alive_bits_data()[entry >> 6] >> (entry & 63) & 1) !=
              0 &&
-         membership_.generation(entry) == generation;
+         membership_.generation(entry) == link_generation(link);
 }
 
-void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
+std::uint64_t SparseChurnWorld::link_to(NodeSlot target) const {
+  return target == kNoSlot ? kEmptyLink
+                           : make_link(target, membership_.generation(target));
+}
+
+void SparseChurnWorld::put_cell(std::uint64_t offset, std::uint64_t link,
+                                std::uint64_t id, std::int32_t stamp) {
+  table_.put(offset, link, id);
+  refreshed_at_[offset] = stamp;
+}
+
+void SparseChurnWorld::install_cell(NodeSlot owner, std::uint64_t offset,
+                                    std::uint64_t link, std::uint64_t id,
+                                    std::int32_t stamp) {
+  const std::int64_t delta =
+      static_cast<std::int64_t>(stamp) - refreshed_at_[offset];
+  row_stamp_sums_[owner] += delta;
+  if (membership_.present(owner)) {
+    entry_stamp_sum_ += delta;
+  }
+  put_cell(offset, link, id, stamp);
+}
+
+void SparseChurnWorld::set_row_stamp_sum(NodeSlot owner, std::int64_t sum) {
+  if (membership_.present(owner)) {
+    entry_stamp_sum_ += sum - row_stamp_sums_[owner];
+  }
+  row_stamp_sums_[owner] = sum;
+}
+
+std::int64_t SparseChurnWorld::row_stamp_sum(NodeSlot slot) const {
+  const std::int32_t* row =
+      refreshed_at_.data() + slot * static_cast<std::uint64_t>(row_width_);
+  std::int64_t sum = 0;
+  for (int j = 0; j < row_width_; ++j) {
+    sum += row[j];
+  }
+  return sum;
+}
+
+// Every departure goes through here, so the stamp sum drops the row the
+// moment its owner stops counting as present.
+void SparseChurnWorld::leave_slot(NodeSlot slot) {
+  membership_.leave(slot);
+  ++total_leaves_;
+  entry_stamp_sum_ -= row_stamp_sums_[slot];
+}
+
+NodeSlot SparseChurnWorld::choose_target(NodeSlot slot, int index) {
   const std::uint64_t id = membership_.id_of(slot);
   const std::uint64_t mask = membership_.key_mask();
-  const std::uint64_t offset =
-      slot * static_cast<std::uint64_t>(row_width_) +
-      static_cast<std::uint64_t>(index);
   NodeSlot chosen = kNoSlot;
   switch (geometry_) {
     case SparseChurnGeometry::kChord: {
@@ -778,62 +845,76 @@ void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
       break;
     }
   }
-  table_[offset] = chosen;
-  table_gen_[offset] =
-      chosen == kNoSlot ? 0 : membership_.generation(chosen);
-  // Cache the target's install-time id: for as long as the entry stays
-  // valid this IS its current id (ids change only on rejoin, which bumps
-  // the generation).  Empty cells carry the owner's own id, which every
-  // kernel's admissibility arithmetic rejects (progress 0 on the ring,
-  // equal XOR distance), so kernels can screen candidates by cached id
-  // without ever probing an out-of-row slot.
-  table_id_[offset] = chosen == kNoSlot ? id : membership_.id_of(chosen);
-  refreshed_at_[offset] = static_cast<std::int32_t>(round_);
+  return chosen;
 }
 
+// Cache the target's install-time id: for as long as the entry stays valid
+// this IS its current id (ids change only on rejoin, which bumps the
+// generation).  Empty cells carry the owner's own id, which every kernel's
+// admissibility arithmetic rejects (progress 0 on the ring, equal XOR
+// distance), so kernels can screen candidates by cached id without ever
+// probing an out-of-row slot.
+std::uint64_t SparseChurnWorld::cached_id(NodeSlot owner,
+                                          NodeSlot target) const {
+  return membership_.id_of(target == kNoSlot ? owner : target);
+}
+
+void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
+  const NodeSlot chosen = choose_target(slot, index);
+  install_cell(slot,
+               slot * static_cast<std::uint64_t>(row_width_) +
+                   static_cast<std::uint64_t>(index),
+               link_to(chosen), cached_id(slot, chosen),
+               static_cast<std::int32_t>(round_));
+}
+
+// Whole-row rebuild: the same choices and writes as refresh_entry per
+// index, but the row's new stamp sum is known outright (every cell gets
+// this round), so the row's stale stamps -- cold for a joiner -- are never
+// read.
 void SparseChurnWorld::rebuild_tables(NodeSlot slot) {
+  ++maintenance_.rows_rebuilt;
+  const std::uint64_t base = slot * static_cast<std::uint64_t>(row_width_);
+  const auto stamp = static_cast<std::int32_t>(round_);
   if (geometry_ == SparseChurnGeometry::kChord) {
     // Bulk finger rebuild -- the join-storm path (every joiner re-derives
     // its whole row, hundreds of millions of entries per trajectory).
-    // Same writes as refresh_entry per index, with the per-call reloads
-    // (owner id, mask, stamps) hoisted out of the loop; chord refreshes
-    // consume no rng, so the fusion is stream-exact.
+    // The per-call reloads (owner id, mask) are hoisted out of the loop;
+    // chord refreshes consume no rng, so the fusion is stream-exact.
     const std::uint64_t id = membership_.id_of(slot);
     const std::uint64_t mask = membership_.key_mask();
-    const std::uint64_t base = slot * static_cast<std::uint64_t>(row_width_);
-    const auto stamp = static_cast<std::int32_t>(round_);
     for (int j = 0; j < row_width_; ++j) {
       const std::uint64_t key =
           (id + (std::uint64_t{1} << (config_.bits - j - 1))) & mask;
       const NodeSlot chosen = membership_.successor_of_key(key);
-      const std::uint64_t offset = base + static_cast<std::uint64_t>(j);
-      table_[offset] = chosen;
-      table_gen_[offset] = membership_.generation(chosen);
-      table_id_[offset] = membership_.id_of(chosen);
-      refreshed_at_[offset] = stamp;
+      put_cell(base + static_cast<std::uint64_t>(j),
+               make_link(chosen, membership_.generation(chosen)),
+               membership_.id_of(chosen), stamp);
     }
-    return;
+  } else {
+    for (int j = 0; j < row_width_; ++j) {
+      const NodeSlot chosen = choose_target(slot, j);
+      put_cell(base + static_cast<std::uint64_t>(j), link_to(chosen),
+               cached_id(slot, chosen), stamp);
+    }
   }
-  for (int j = 0; j < row_width_; ++j) {
-    refresh_entry(slot, j);
-  }
+  set_row_stamp_sum(slot, static_cast<std::int64_t>(row_width_) * stamp);
 }
 
 void SparseChurnWorld::rebuild_successors(NodeSlot slot,
                                           std::uint64_t from_position) {
+  ++maintenance_.successor_rebuilds;
   const int s = config_.successors;
   const std::uint64_t base = slot * static_cast<std::uint64_t>(s);
   for (int t = 0; t < s; ++t) {
     const NodeSlot succ = membership_.ring_successor(
         from_position, static_cast<std::uint64_t>(t));
-    successors_[base + static_cast<std::uint64_t>(t)] = succ;
-    successors_gen_[base + static_cast<std::uint64_t>(t)] =
-        membership_.generation(succ);
     // Install-time id cache; a self-entry (tiny populations wrap the
     // ring onto the owner) carries the owner's id, inadmissible to every
     // kernel by arithmetic alone.
-    successors_id_[base + static_cast<std::uint64_t>(t)] =
-        membership_.id_of(succ);
+    successors_.put(base + static_cast<std::uint64_t>(t),
+                    make_link(succ, membership_.generation(succ)),
+                    membership_.id_of(succ));
   }
   successors_refreshed_at_[slot] = static_cast<std::int32_t>(round_);
 }
@@ -875,7 +956,7 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
     int budget = config_.announce;
     const int k = config_.bucket_k;
     const std::uint64_t id = membership_.id_of(slot);
-    const std::uint32_t generation = membership_.generation(slot);
+    const std::uint64_t link = link_to(slot);
     for (int level = config_.bits; level >= 1 && budget > 0; --level) {
       const auto [lo, hi] = kademlia_bucket_range(id, level, config_.bits);
       const auto [first, last] = membership_.order_range(lo, hi);
@@ -893,11 +974,9 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
         for (int cell = 0; cell < k; ++cell) {
           const std::uint64_t offset =
               bucket_base + static_cast<std::uint64_t>(cell);
-          if (!entry_valid(table_[offset], table_gen_[offset])) {
-            table_[offset] = slot;
-            table_gen_[offset] = generation;
-            table_id_[offset] = id;
-            refreshed_at_[offset] = static_cast<std::int32_t>(round_);
+          if (!entry_valid(table_.links[offset])) {
+            install_cell(peer, offset, link, id,
+                         static_cast<std::int32_t>(round_));
             break;
           }
         }
@@ -916,12 +995,12 @@ void SparseChurnWorld::maintain_successors(NodeSlot slot) {
   bool broken = false;
   NodeSlot first_alive = kNoSlot;
   for (int t = 0; t < s; ++t) {
-    const NodeSlot e = successors_[base + static_cast<std::uint64_t>(t)];
-    if (e == slot ||
-        !entry_valid(e, successors_gen_[base + static_cast<std::uint64_t>(t)])) {
+    const std::uint64_t link =
+        successors_.links[base + static_cast<std::uint64_t>(t)];
+    if (link_slot(link) == slot || !entry_valid(link)) {
       broken = true;
     } else if (first_alive == kNoSlot) {
-      first_alive = e;
+      first_alive = link_slot(link);
     }
   }
   if (broken) {
@@ -989,6 +1068,8 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
     }
     std::int32_t min_stamp = min_live;
     if (due != 0) {
+      maintenance_.due_refreshes +=
+          static_cast<std::uint64_t>(std::popcount(due));
       do {
         refresh_entry(slot, std::countr_zero(due));
         due &= due - 1;
@@ -999,23 +1080,32 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
         min_stamp + static_cast<std::int32_t>(params_.refresh_interval);
     return;
   }
+  maintenance_.entries_examined += static_cast<std::uint64_t>(row_width_);
   for (int j = 0; j < row_width_; ++j) {
     const std::uint64_t offset =
         slot * static_cast<std::uint64_t>(row_width_) +
         static_cast<std::uint64_t>(j);
     if (round_ - refreshed_at_[offset] >= params_.refresh_interval) {
+      ++maintenance_.due_refreshes;
       refresh_entry(slot, j);
     } else {
       // Observed-dead covers departed targets AND recycled slots (the
       // node at that address is a different one now) -- both are
       // generation mismatches.
-      const NodeSlot entry = table_[offset];
-      if (entry != kNoSlot && !entry_valid(entry, table_gen_[offset]) &&
-          table_rng_.bernoulli(repair_probability_)) {
+      const std::uint64_t link = table_.links[offset];
+      if (link_slot(link) != kNoSlot && !entry_valid(link) &&
+          repair_draw()) {
         refresh_entry(slot, j);
       }
     }
   }
+}
+
+bool SparseChurnWorld::repair_draw() {
+  ++maintenance_.repair_draws;
+  const bool repair = table_rng_.bernoulli(repair_probability_);
+  maintenance_.repairs += repair ? 1 : 0;
+  return repair;
 }
 
 // k-bucket maintenance (the Roos et al. LRU discipline): a cell due for
@@ -1037,6 +1127,9 @@ void SparseChurnWorld::maintain_kademlia_buckets(NodeSlot slot) {
   if (lazy_only && round_ < table_due_round_[slot]) {
     return;
   }
+  if (!lazy_only) {
+    maintenance_.entries_examined += static_cast<std::uint64_t>(row_width_);
+  }
   std::int32_t min_stamp = std::numeric_limits<std::int32_t>::max();
   for (int b = 0; b < config_.bits; ++b) {
     const std::uint64_t bucket_base =
@@ -1045,18 +1138,17 @@ void SparseChurnWorld::maintain_kademlia_buckets(NodeSlot slot) {
       const std::uint64_t offset =
           bucket_base + static_cast<std::uint64_t>(cell);
       if (round_ - refreshed_at_[offset] >= params_.refresh_interval) {
+        ++maintenance_.due_refreshes;
         refresh_entry(slot, b * k + cell);
       } else if (!lazy_only) {
-        const NodeSlot entry = table_[offset];
-        if (entry != kNoSlot && !entry_valid(entry, table_gen_[offset]) &&
-            table_rng_.bernoulli(repair_probability_)) {
+        const std::uint64_t link = table_.links[offset];
+        if (link_slot(link) != kNoSlot && !entry_valid(link) &&
+            repair_draw()) {
           for (int t = cell; t + 1 < k; ++t) {
             const std::uint64_t dst =
                 bucket_base + static_cast<std::uint64_t>(t);
-            table_[dst] = table_[dst + 1];
-            table_gen_[dst] = table_gen_[dst + 1];
-            table_id_[dst] = table_id_[dst + 1];
-            refreshed_at_[dst] = refreshed_at_[dst + 1];
+            install_cell(slot, dst, table_.links[dst + 1],
+                         table_.id(dst + 1), refreshed_at_[dst + 1]);
           }
           refresh_entry(slot, b * k + (k - 1));
           // The shifted-in cell keeps its own stamps and gets its next
@@ -1097,8 +1189,11 @@ void SparseChurnWorld::integrate_joiners(bool commit_always) {
   membership_.join(joiners_, id_rng_);
   membership_.commit(/*refresh_seek=*/commit_always);
   total_joins_ += joiners_.size();
+  // The joined rows enter the stamp sum with their previous occupant's
+  // stamps; the rebuilds below move each stamp to this round.
   for (const NodeSlot slot : joiners_) {
     joined_at_[slot] = round_;
+    entry_stamp_sum_ += row_stamp_sums_[slot];
   }
   for (const NodeSlot slot : joiners_) {
     rebuild_node(slot);
@@ -1120,8 +1215,7 @@ void SparseChurnWorld::lifecycle_and_maintain_slot(NodeSlot slot) {
     if (lifecycle_rng_.bernoulli(
             session_.hazard(static_cast<std::int64_t>(round_) -
                             joined_at_[slot]))) {
-      membership_.leave(slot);
-      ++total_leaves_;
+      leave_slot(slot);
       return;
     }
     if (membership_.order_size() == 0) {
@@ -1159,8 +1253,7 @@ void SparseChurnWorld::step() {
       if (lifecycle_rng_.bernoulli(
               session_.hazard(static_cast<std::int64_t>(round_) -
                               joined_at_[slot]))) {
-        membership_.leave(slot);
-        ++total_leaves_;
+        leave_slot(slot);
       }
     } else if (lifecycle_rng_.bernoulli(params_.rebirth_per_round)) {
       joiners_.push_back(slot);
@@ -1184,17 +1277,23 @@ void SparseChurnWorld::step() {
   });
 }
 
-ChurnKernelCtx SparseChurnWorld::kernel_ctx() const {
-  ChurnKernelCtx ctx;
+template <typename Id>
+ChurnKernelCtx<Id> SparseChurnWorld::kernel_ctx() const {
+  const auto id_data = [](const EntryRows& rows) -> const Id* {
+    if constexpr (sizeof(Id) == sizeof(std::uint32_t)) {
+      return rows.ids32.data();
+    } else {
+      return rows.ids64.data();
+    }
+  };
+  ChurnKernelCtx<Id> ctx;
   ctx.ids = membership_.id_data();
   ctx.alive_bits = membership_.alive_bits_data();
   ctx.generations = membership_.generation_data();
-  ctx.table = table_.data();
-  ctx.table_gen = table_gen_.data();
-  ctx.table_id = table_id_.data();
-  ctx.successors = successors_.data();
-  ctx.successors_gen = successors_gen_.data();
-  ctx.successors_id = successors_id_.data();
+  ctx.table_links = table_.links.data();
+  ctx.table_id = id_data(table_);
+  ctx.successor_links = successors_.links.data();
+  ctx.successors_id = id_data(successors_);
   ctx.row_width = row_width_;
   ctx.bucket_k = config_.bucket_k;
   ctx.s = config_.successors;
@@ -1204,18 +1303,20 @@ ChurnKernelCtx SparseChurnWorld::kernel_ctx() const {
 
 sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs,
                                                  math::Rng& rng) {
-  return measure_with(pairs, rng, &SparseChurnWorld::route_chunk_batched);
+  return narrow_ids() ? measure_with<std::uint32_t>(pairs, rng, false)
+                      : measure_with<std::uint64_t>(pairs, rng, false);
 }
 
+template <typename Id>
 sparse::SparseEstimate SparseChurnWorld::measure_with(std::uint64_t pairs,
                                                       math::Rng& rng,
-                                                      RouteChunk route_chunk) {
+                                                      bool scalar) {
   obs::PhaseTimer route_timer(profile_, obs::Phase::kRoute, trace_);
   sparse::SparseEstimate estimate;
   if (membership_.population() < 2) {
     return estimate;  // nothing to sample: the empty-estimate contract
   }
-  const ChurnKernelCtx ctx = kernel_ctx();
+  const ChurnKernelCtx<Id> ctx = kernel_ctx<Id>();
   const std::uint64_t capacity = membership_.capacity();
   const bool workload = workload_enabled();
   // Replica attempts are capped by the population once for the whole
@@ -1288,7 +1389,11 @@ sparse::SparseEstimate SparseChurnWorld::measure_with(std::uint64_t pairs,
         }
       }
     }
-    (this->*route_chunk)(ctx, attempts, estimate);
+    if (scalar) {
+      route_chunk_scalar(ctx, attempts, estimate);
+    } else {
+      route_chunk_batched(ctx, attempts, estimate);
+    }
   }
   return estimate;
 }
@@ -1299,13 +1404,13 @@ sparse::SparseEstimate SparseChurnWorld::measure_with(std::uint64_t pairs,
 // generation probe that admitted it.  Routing is rng-free and the world
 // is frozen in sync mode, so the walk reproduces the measurement route
 // exactly without perturbing it.
-void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
+template <typename Id>
+void SparseChurnWorld::trace_route(const ChurnKernelCtx<Id>& ctx,
                                    NodeSlot source, NodeSlot target,
                                    std::uint64_t pair_index) {
-  StepResult (*step_fn)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
-                        std::uint64_t) =
-      geometry_ == SparseChurnGeometry::kKademlia ? &step_xor
-                                                  : &step_clockwise;
+  const StepFn<Id> step_fn = geometry_ == SparseChurnGeometry::kKademlia
+                                 ? &step_xor<Id>
+                                 : &step_clockwise<Id>;
   obs::RouteTrace trace;
   trace.shard = trace_shard_;
   trace.round = round_;
@@ -1343,8 +1448,9 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
         cur * static_cast<std::uint64_t>(ctx.row_width);
     for (int j = 0; j < ctx.row_width; ++j) {
       const std::uint64_t off = row_base + static_cast<std::uint64_t>(j);
-      if (ctx.table[off] == next.next && ctx.table_id[off] == next.next_id &&
-          ctx_entry_valid(ctx, ctx.table[off], ctx.table_gen[off])) {
+      const std::uint64_t link = ctx.table_links[off];
+      if (link_slot(link) == next.next && ctx.table_id[off] == next.next_id &&
+          ctx_link_valid(ctx, link)) {
         hop.rank = j;
         hop.gen_ok = true;
         break;
@@ -1355,10 +1461,10 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
           cur * static_cast<std::uint64_t>(ctx.s);
       for (int t = 0; t < ctx.s; ++t) {
         const std::uint64_t off = succ_base + static_cast<std::uint64_t>(t);
-        if (ctx.successors[off] == next.next &&
+        const std::uint64_t link = ctx.successor_links[off];
+        if (link_slot(link) == next.next &&
             ctx.successors_id[off] == next.next_id &&
-            ctx_entry_valid(ctx, ctx.successors[off],
-                            ctx.successors_gen[off])) {
+            ctx_link_valid(ctx, link)) {
           hop.gen_ok = true;
           break;
         }
@@ -1375,13 +1481,13 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
 // The scalar reference path: pair by pair through the shared single-route
 // core, replicas consulted in attempt order only while unavailable --
 // exactly the historical control flow over the drawn chunk.
-void SparseChurnWorld::route_chunk_scalar(const ChurnKernelCtx& ctx,
+template <typename Id>
+void SparseChurnWorld::route_chunk_scalar(const ChurnKernelCtx<Id>& ctx,
                                           int attempts,
                                           sparse::SparseEstimate& estimate) {
-  StepResult (*step_fn)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
-                        std::uint64_t) =
-      geometry_ == SparseChurnGeometry::kKademlia ? &step_xor
-                                                  : &step_clockwise;
+  const StepFn<Id> step_fn = geometry_ == SparseChurnGeometry::kKademlia
+                                 ? &step_xor<Id>
+                                 : &step_clockwise<Id>;
   const bool workload = workload_enabled();
   const auto no_sweep = [] {};
   for (const GetDraw& draw : draws_) {
@@ -1420,7 +1526,8 @@ void SparseChurnWorld::route_chunk_scalar(const ChurnKernelCtx& ctx,
 // identical set, so lane scheduling cannot change the merged result;
 // per-pair equality against route_chunk_scalar is gated in
 // test_sparse_churn.
-void SparseChurnWorld::route_chunk_batched(const ChurnKernelCtx& ctx,
+template <typename Id>
+void SparseChurnWorld::route_chunk_batched(const ChurnKernelCtx<Id>& ctx,
                                            int attempts,
                                            sparse::SparseEstimate& estimate) {
   const bool workload = workload_enabled();
@@ -1506,10 +1613,10 @@ void SparseChurnWorld::route_chunk_batched(const ChurnKernelCtx& ctx,
     }
   };
   if (xor_geometry) {
-    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_xor, refill,
-                      retire);
+    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_xor<Id>,
+                      refill, retire);
   } else {
-    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_ring,
+    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_ring<Id>,
                       refill, retire);
   }
   if (workload) {
@@ -1526,11 +1633,22 @@ sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs) {
 
 sparse::SparseEstimate SparseChurnWorld::measure_scalar_routes(
     std::uint64_t pairs) {
-  return measure_with(pairs, measure_rng_,
-                      &SparseChurnWorld::route_chunk_scalar);
+  return narrow_ids()
+             ? measure_with<std::uint32_t>(pairs, measure_rng_, true)
+             : measure_with<std::uint64_t>(pairs, measure_rng_, true);
 }
 
 sparse::SparseEstimate SparseChurnWorld::measure_inflight(
+    std::uint64_t pairs, std::uint64_t events_per_hop, math::Rng& rng) {
+  return narrow_ids()
+             ? measure_inflight_with<std::uint32_t>(pairs, events_per_hop,
+                                                    rng)
+             : measure_inflight_with<std::uint64_t>(pairs, events_per_hop,
+                                                    rng);
+}
+
+template <typename Id>
+sparse::SparseEstimate SparseChurnWorld::measure_inflight_with(
     std::uint64_t pairs, std::uint64_t events_per_hop, math::Rng& rng) {
   // The in-flight round fuses the lifecycle sweep into the routes (each
   // hop advances the world), so the whole body is one route-phase span --
@@ -1562,11 +1680,10 @@ sparse::SparseEstimate SparseChurnWorld::measure_inflight(
   // the packed epoch structure in place.  Ids can change only on rejoin,
   // which happens at lookup boundaries -- never mid-route -- so the
   // cached-id kernels' carried identifiers cannot go stale in flight.
-  const ChurnKernelCtx ctx = kernel_ctx();
-  StepResult (*step_fn)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
-                        std::uint64_t) =
-      geometry_ == SparseChurnGeometry::kKademlia ? &step_xor
-                                                  : &step_clockwise;
+  const ChurnKernelCtx<Id> ctx = kernel_ctx<Id>();
+  const StepFn<Id> step_fn = geometry_ == SparseChurnGeometry::kKademlia
+                                 ? &step_xor<Id>
+                                 : &step_clockwise<Id>;
   // In-flight route through the shared single-route core: the holder's
   // departure drops the message (checked before arrival -- a route
   // "arriving" at a slot that just left gets no reply), and the lifecycle
@@ -1662,27 +1779,46 @@ double SparseChurnWorld::alive_fraction() const noexcept {
          static_cast<double>(membership_.capacity());
 }
 
-double SparseChurnWorld::mean_entry_age() const {
-  // Every age is round_ - stamp, so the age sum is counted * round_ minus
-  // the stamp sum, taken exactly in int64.  The historical per-entry double
-  // sum only ever added integers below 2^53, so it was exact too and the
-  // quotient is bit-identical.
-  std::int64_t stamps = 0;
-  std::uint64_t counted = 0;
-  const auto width = static_cast<std::uint64_t>(row_width_);
-  for_each_alive(membership_, [&](NodeSlot slot) {
-    const std::int32_t* row = refreshed_at_.data() + slot * width;
-    for (std::uint64_t j = 0; j < width; ++j) {
-      stamps += row[j];
-    }
-    counted += width;
-  });
+namespace {
+
+// Every age is round - stamp, so the age sum over `counted` entries is
+// counted * round minus their stamp sum, taken exactly in int64.  The
+// historical per-entry double sum only ever added integers below 2^53, so
+// it was exact too and the quotient is bit-identical.
+double mean_age(std::int64_t stamp_sum, std::uint64_t counted, int round) {
   if (counted == 0) {
     return 0.0;
   }
   const std::int64_t ages =
-      static_cast<std::int64_t>(counted) * round_ - stamps;
+      static_cast<std::int64_t>(counted) * round - stamp_sum;
   return static_cast<double>(ages) / static_cast<double>(counted);
+}
+
+}  // namespace
+
+double SparseChurnWorld::mean_entry_age() const {
+  return mean_age(entry_stamp_sum_,
+                  membership_.population() *
+                      static_cast<std::uint64_t>(row_width_),
+                  round_);
+}
+
+double SparseChurnWorld::mean_entry_age_recount() const {
+  std::int64_t stamps = 0;
+  for_each_alive(membership_,
+                 [&](NodeSlot slot) { stamps += row_stamp_sum(slot); });
+  return mean_age(stamps,
+                  membership_.population() *
+                      static_cast<std::uint64_t>(row_width_),
+                  round_);
+}
+
+std::uint64_t SparseChurnWorld::row_bytes() const noexcept {
+  return table_.bytes() + successors_.bytes() +
+         (refreshed_at_.size() + table_due_round_.size() +
+          successors_refreshed_at_.size()) *
+             sizeof(std::int32_t) +
+         row_stamp_sums_.size() * sizeof(std::int64_t);
 }
 
 SparseChurnResult run_sparse_churn_trajectory(
@@ -1703,6 +1839,8 @@ SparseChurnResult run_sparse_churn_trajectory(
   std::vector<double> alive_sum(shards, 0.0);
   std::vector<double> age_sum(shards, 0.0);
   std::vector<sim::LoadSummary> shard_loads(shards);
+  std::vector<MaintenanceCounters> shard_maintenance(shards);
+  std::vector<std::uint64_t> shard_row_bytes(shards, 0);
   // Timing side-channel only: per-shard profiles reduce in shard order
   // below; a null profile/trace reads no clock anywhere.
   const bool observed = options.profile != nullptr || options.trace != nullptr;
@@ -1765,6 +1903,8 @@ SparseChurnResult run_sparse_churn_trajectory(
           age_sum[s] += world.mean_entry_age();
         }
         shard_loads[s] = world.load_summary();
+        shard_maintenance[s] = world.maintenance();
+        shard_row_bytes[s] = world.row_bytes();
       });
 
   SparseChurnResult result;
@@ -1803,6 +1943,8 @@ SparseChurnResult run_sparse_churn_trajectory(
     population_total += population_sum[s];
     alive_total += alive_sum[s];
     age_total += age_sum[s];
+    result.maintenance.merge(shard_maintenance[s]);
+    result.row_bytes = std::max(result.row_bytes, shard_row_bytes[s]);
   }
   // validate_trajectory_options guarantees rounds >= 1 and shards >= 1, but
   // keep the division guarded: an empty run must surface zeroed

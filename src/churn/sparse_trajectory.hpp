@@ -68,6 +68,7 @@
 
 namespace dht::churn {
 
+template <typename Id>
 struct ChurnKernelCtx;  // flattened routing view (sparse_trajectory.cpp)
 
 /// Geometries of the sparse churn world (the three sparse overlay
@@ -138,6 +139,39 @@ struct SparseChurnConfig {
 /// round(population / availability(params)).
 std::uint64_t capacity_for_population(std::uint64_t population,
                                       const ChurnParams& params);
+
+/// Exact counts of the table and successor-list maintenance a world did:
+/// the unit counts behind the refresh/repair and commit phase seconds.
+/// Every field is a pure function of the world's trajectory, so
+/// shard-order merges are bit-identical at any thread count.
+struct MaintenanceCounters {
+  /// Table entries looked at by the rho > 0 scan (every entry of every
+  /// scanned row; the rho = 0 path reads only stamps and counts none).
+  std::uint64_t entries_examined = 0;
+  /// Entries refreshed because R rounds had passed since their stamp.
+  std::uint64_t due_refreshes = 0;
+  /// Bernoulli(rho) draws: entries observed dead between refreshes.
+  std::uint64_t repair_draws = 0;
+  /// Draws that re-pointed (Kademlia: evicted and replaced) the entry.
+  std::uint64_t repairs = 0;
+  /// Successor lists rebuilt: joiner bootstraps, predecessor notifies,
+  /// broken-list repairs and scheduled refreshes.
+  std::uint64_t successor_rebuilds = 0;
+  /// Whole table rows rebuilt: joiner bootstraps plus the full rebuild a
+  /// node falls back on when its whole successor list is dead.
+  std::uint64_t rows_rebuilt = 0;
+
+  void merge(const MaintenanceCounters& other) noexcept {
+    entries_examined += other.entries_examined;
+    due_refreshes += other.due_refreshes;
+    repair_draws += other.repair_draws;
+    repairs += other.repairs;
+    successor_rebuilds += other.successor_rebuilds;
+    rows_rebuilt += other.rows_rebuilt;
+  }
+
+  bool operator==(const MaintenanceCounters&) const = default;
+};
 
 /// One dynamic sparse overlay world: membership churn (joins draw fresh
 /// ids, leaves free slots), per-entry lazy refresh every R rounds, optional
@@ -217,8 +251,26 @@ class SparseChurnWorld {
   std::uint64_t total_leaves() const noexcept { return total_leaves_; }
 
   /// Mean age (rounds since refresh) over present nodes' table entries --
-  /// the q_eff derivation's uniform-age diagnostic.
+  /// the q_eff derivation's uniform-age diagnostic.  O(1): the world keeps
+  /// an exact running sum of the present rows' stamps.
   double mean_entry_age() const;
+
+  /// The full-recount reference for mean_entry_age(): streams every
+  /// present row's stamps.  It must be bit-identical to the running sum,
+  /// which test_sparse_churn gates after every step.  Not used by the
+  /// engines.
+  double mean_entry_age_recount() const;
+
+  /// Maintenance work done since construction (the build's own row
+  /// installs are not counted).
+  const MaintenanceCounters& maintenance() const noexcept {
+    return maintenance_;
+  }
+
+  /// Bytes of the row state: table links, cached ids and stamps, the
+  /// per-row due bounds and stamp sums, and the successor lists with their
+  /// stamps.
+  std::uint64_t row_bytes() const noexcept;
 
   const SparseMembership& membership() const noexcept { return membership_; }
 
@@ -257,20 +309,45 @@ class SparseChurnWorld {
   std::uint64_t object_count() const noexcept {
     return config_.objects != 0 ? config_.objects : membership_.capacity();
   }
-  bool entry_valid(NodeSlot entry, std::uint32_t generation) const;
-  ChurnKernelCtx kernel_ctx() const;
+  // Rows cache target ids in 32 bits whenever the key space fits.
+  bool narrow_ids() const noexcept { return config_.bits <= 32; }
+  bool entry_valid(std::uint64_t link) const;
+  std::uint64_t link_to(NodeSlot target) const;
+  template <typename Id>
+  ChurnKernelCtx<Id> kernel_ctx() const;
   // Route one chunk of draws_ (scalar reference path / 8-lane batched
   // path); both consume no rng and record identical per-pair outcomes.
-  void route_chunk_scalar(const ChurnKernelCtx& ctx, int attempts,
+  template <typename Id>
+  void route_chunk_scalar(const ChurnKernelCtx<Id>& ctx, int attempts,
                           sparse::SparseEstimate& estimate);
-  void route_chunk_batched(const ChurnKernelCtx& ctx, int attempts,
+  template <typename Id>
+  void route_chunk_batched(const ChurnKernelCtx<Id>& ctx, int attempts,
                            sparse::SparseEstimate& estimate);
-  using RouteChunk = void (SparseChurnWorld::*)(const ChurnKernelCtx&, int,
-                                                sparse::SparseEstimate&);
-  // measure()'s body: draws the pairs a chunk at a time and hands each
-  // chunk to `route_chunk`.
+  // measure()'s body: draws the pairs a chunk at a time and routes each
+  // chunk through the scalar or the batched path.
+  template <typename Id>
   sparse::SparseEstimate measure_with(std::uint64_t pairs, math::Rng& rng,
-                                      RouteChunk route_chunk);
+                                      bool scalar);
+  template <typename Id>
+  sparse::SparseEstimate measure_inflight_with(std::uint64_t pairs,
+                                               std::uint64_t events_per_hop,
+                                               math::Rng& rng);
+  // Table-cell writes.  put_cell is the one store of a cell's link word,
+  // cached id and stamp; install_cell adds the cell's stamp change to its
+  // row's sum (and to the present-row sum while `owner` is present);
+  // whole-row rebuilds put every cell and then set the row's sum once.
+  void put_cell(std::uint64_t offset, std::uint64_t link, std::uint64_t id,
+                std::int32_t stamp);
+  void install_cell(NodeSlot owner, std::uint64_t offset, std::uint64_t link,
+                    std::uint64_t id, std::int32_t stamp);
+  void set_row_stamp_sum(NodeSlot owner, std::int64_t sum);
+  // Streams the row's stamps (the build's seed and the recount oracle).
+  std::int64_t row_stamp_sum(NodeSlot slot) const;
+  // The geometry's pick for table cell `index` of `slot` against the
+  // current membership (kNoSlot when nothing qualifies).
+  NodeSlot choose_target(NodeSlot slot, int index);
+  std::uint64_t cached_id(NodeSlot owner, NodeSlot target) const;
+  void leave_slot(NodeSlot slot);
   void refresh_entry(NodeSlot slot, int index);
   void announce_join(NodeSlot slot);
   void rebuild_tables(NodeSlot slot);
@@ -278,6 +355,8 @@ class SparseChurnWorld {
   void maintain_successors(NodeSlot slot);
   void maintain_entries(NodeSlot slot);
   void maintain_kademlia_buckets(NodeSlot slot);
+  // The rho channel's Bernoulli draw on an entry observed dead, counted.
+  bool repair_draw();
   void rebuild_node(NodeSlot slot);
   void lifecycle_and_maintain_slot(NodeSlot slot);
   void integrate_joiners(bool commit_always);
@@ -285,8 +364,48 @@ class SparseChurnWorld {
   // Re-routes one selected pair against the frozen round snapshot and
   // pushes the hop record into trace_sink_ (sync mode only; rng-free, no
   // load accounting).
-  void trace_route(const ChurnKernelCtx& ctx, NodeSlot source,
+  template <typename Id>
+  void trace_route(const ChurnKernelCtx<Id>& ctx, NodeSlot source,
                    NodeSlot target, std::uint64_t pair_index);
+
+  // Row-major entries of one kind (table cells or successor-list
+  // entries): per entry one link word, (generation << 32) | slot -- an
+  // entry is valid only while its target slot keeps the generation it
+  // was installed against (identities never return) -- and the target's
+  // install-time identifier.  While an entry is valid that id cannot
+  // have changed (ids change only on rejoin, which bumps the
+  // generation), so the kernels compute progress / XOR distance from
+  // this sequential row instead of chasing ids_[entry] pointers; invalid
+  // entries yield garbage geometry but are rejected by the validity
+  // probe exactly as before.  Empty cells (kNoSlot, generation 0) store
+  // the row owner's own id: zero clockwise progress / XOR distance equal
+  // to the owner's, inadmissible in both metrics, so they fall out
+  // arithmetically.  The ids take 4 B when bits <= 32 (ids32) and 8 B
+  // above (ids64); exactly one of the two is sized.  An entry is thus
+  // 12 B, or 16 B with a wide id.
+  struct EntryRows {
+    std::vector<std::uint64_t> links;
+    std::vector<std::uint32_t> ids32;
+    std::vector<std::uint64_t> ids64;
+
+    void assign(std::uint64_t entries, std::uint64_t link, bool narrow);
+    std::uint64_t id(std::uint64_t offset) const {
+      return ids64.empty() ? ids32[offset] : ids64[offset];
+    }
+    void put(std::uint64_t offset, std::uint64_t link, std::uint64_t id) {
+      links[offset] = link;
+      if (ids64.empty()) {
+        ids32[offset] = static_cast<std::uint32_t>(id);
+      } else {
+        ids64[offset] = id;
+      }
+    }
+    std::uint64_t bytes() const noexcept {
+      return links.size() * sizeof(std::uint64_t) +
+             ids32.size() * sizeof(std::uint32_t) +
+             ids64.size() * sizeof(std::uint64_t);
+    }
+  };
 
   const SparseChurnGeometry geometry_;
   const SparseChurnConfig config_;
@@ -307,35 +426,30 @@ class SparseChurnWorld {
   // the departure hazard depends on this age (negative stamps encode the
   // stationary ages the world is initialized with).
   std::vector<std::int64_t> joined_at_;
-  // Row-major [slot][index] table entries, the generation each entry was
-  // installed against (an entry is valid only while its target slot keeps
-  // that generation -- identities never return), and the round each entry
-  // was refreshed.
-  std::vector<NodeSlot> table_;
-  std::vector<std::uint32_t> table_gen_;
+  // Row-major [slot][index] table entries (links + cached ids) and the
+  // round each entry was refreshed.  The stamps live apart because only
+  // maintenance reads them.  At bits <= 32 a cell costs 16 B (8 link +
+  // 4 id + 4 stamp), 20 B above; a 2^17-slot Chord world at bits = 32
+  // (32 fingers per row) holds 64 MiB of table cells.
+  EntryRows table_;
   std::vector<std::int32_t> refreshed_at_;
-  // Install-time identifier of each entry's target, cached row-major next
-  // to the entries.  While an entry is valid its target's id cannot have
-  // changed (ids change only on rejoin, which bumps the generation), so
-  // the kernels compute progress / XOR distance from this sequential row
-  // instead of chasing ids_[entry] pointers; invalid entries yield garbage
-  // geometry but are rejected by the validity probe exactly as before.
-  // Empty cells store the row owner's own id: zero clockwise progress /
-  // XOR distance equal to the owner's, inadmissible in both metrics, so
-  // they fall out arithmetically.
-  std::vector<std::uint64_t> table_id_;
+  // Exact stamp sums: per row (install_cell adds each stamp change), and
+  // over present slots' rows (install_cell adds a present row's changes;
+  // leave_slot / joins move a whole row's sum out of / into it without
+  // touching the row).  mean_entry_age() reads the latter in O(1).
+  std::vector<std::int64_t> row_stamp_sums_;
+  std::int64_t entry_stamp_sum_ = 0;
   // Earliest round at which a slot's row can hold a due entry
   // (min refreshed_at over the row + R, maintained conservatively: stamps
   // only increase between scans).  Lets rho = 0 maintenance skip whole
   // rows without touching them -- a skipped row consumes no rng, exactly
   // like a scanned row with nothing due.
   std::vector<std::int32_t> table_due_round_;
-  // Row-major [slot][0..s) successor lists + generations + cached target
-  // ids (same discipline as table_id_) + per-node refresh stamps.
-  std::vector<NodeSlot> successors_;
-  std::vector<std::uint32_t> successors_gen_;
-  std::vector<std::uint64_t> successors_id_;
+  // Row-major [slot][0..s) successor lists (links + cached ids, same
+  // discipline as table_) + per-node refresh stamps.
+  EntryRows successors_;
   std::vector<std::int32_t> successors_refreshed_at_;
+  MaintenanceCounters maintenance_;
   // Scratch for step() (avoids per-round allocation).
   std::vector<NodeSlot> joiners_;
   // Sync-mode measurement scratch, reused across rounds: the up-front
@@ -380,6 +494,11 @@ struct SparseChurnResult {
   double mean_alive_fraction = 0.0;
   /// Mean table-entry age of present nodes, same averaging.
   double mean_entry_age = 0.0;
+  /// Maintenance work of all shard worlds (warm-up and measured rounds),
+  /// merged in shard order.
+  MaintenanceCounters maintenance;
+  /// Row bytes of one shard world (every shard has the same layout).
+  std::uint64_t row_bytes = 0;
   /// Per-node load digest of the measured routes: hottest slot across all
   /// shard worlds, and p99 / coefficient-of-variation averaged over shards
   /// in shard order (each shard world is an independent trajectory).

@@ -10,12 +10,23 @@ asserts on its JSON record:
   3. the runner exits 1 when no rows pair between the arms;
   4. --control runs A as a third arm, reports the A-vs-A band, and marks
      a row resolved only when its speedup lies outside that band.
+It then drives the perfbench mode against two stub checkouts -- each a
+directory with a BENCHMARK.json and a perfbench/run.py that prints fixed
+metrics, a different set on each call -- and asserts:
+  5. run.py is invoked as `--workload W --seed S --trace 0` in each
+     checkout, the run order rotating every pair (A B, B A, ...);
+  6. per metric, each arm's median/IQR/values, B's pairwise wins, the
+     median change and the verdict: gain / loss / unresolved, plus
+     within_bound against the declared bound;
+  7. --control adds the A-vs-A statistics;
+  8. a run reporting incorrect results stops the comparison, exit 1.
 
 Usage: check_perf_ab.py <repo-root>
 """
 
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -116,6 +127,138 @@ def check_record(repo_root, directory, metric, expected, failures,
                f"{metric}: control fields without --control", failures)
 
 
+# Per-call metrics of each stub checkout: call c reports BENCH_VALUES[name]
+# [c % 3].  Against A, B's peak_rss_mb is a clear gain, its routes_per_s
+# a coin toss and its wall_s a loss larger than the 24% bound.
+BENCH_VALUES = {
+    "a": [
+        {"peak_rss_mb": 100.0, "routes_per_s": 10.0, "wall_s": 5.0},
+        {"peak_rss_mb": 102.0, "routes_per_s": 12.0, "wall_s": 5.2},
+        {"peak_rss_mb": 101.0, "routes_per_s": 11.0, "wall_s": 5.1},
+    ],
+    "b": [
+        {"peak_rss_mb": 80.0, "routes_per_s": 11.0, "wall_s": 6.5},
+        {"peak_rss_mb": 81.0, "routes_per_s": 11.5, "wall_s": 6.6},
+        {"peak_rss_mb": 82.0, "routes_per_s": 10.5, "wall_s": 6.4},
+    ],
+}
+
+BENCH_SPEC = {
+    "end_to_end": [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+         "bound": 0.05},
+        {"name": "routes_per_s", "unit": "1/s", "better": "higher",
+         "bound": 0.24},
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
+    ],
+}
+
+RUN_STUB = """import json, os, sys
+root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+counter = os.path.join(root, "calls")
+calls = int(open(counter).read()) if os.path.exists(counter) else 0
+open(counter, "w").write(str(calls + 1))
+with open(os.path.join(root, "argv.log"), "a") as fh:
+    fh.write(" ".join(sys.argv[1:]) + "\\n")
+with open(os.path.join(os.path.dirname(root), "order.log"), "a") as fh:
+    fh.write(os.path.basename(root) + "\\n")
+values = {values}[calls % 3]
+print("== stub banner")
+print(json.dumps({{"correct": {correct}, "attempted": 3, "failed": 0,
+                  "metrics": {{k: {{"value": v, "unit": "u"}}
+                              for k, v in values.items()}}}}))
+"""
+
+
+def write_checkout(directory, arm, correct=True):
+    root = os.path.join(directory, arm)
+    os.makedirs(os.path.join(root, "perfbench"))
+    with open(os.path.join(root, "BENCHMARK.json"), "w") as fh:
+        json.dump(BENCH_SPEC, fh)
+    with open(os.path.join(root, "perfbench", "run.py"), "w") as fh:
+        fh.write(RUN_STUB.format(values=repr(BENCH_VALUES[arm]),
+                                 correct=correct))
+    return root
+
+
+def run_bench_ab(repo_root, directory, control=False, correct_b=True):
+    shutil.rmtree(directory)
+    os.makedirs(directory)
+    a = write_checkout(directory, "a")
+    b = write_checkout(directory, "b", correct=correct_b)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(repo_root, "scripts", "perf_ab.py"),
+         "--bench-a", a, "--bench-b", b, "--workload", "churn_sync_sweep",
+         "--seed", "7", "--pairs", "3"] + (["--control"] if control else []),
+        capture_output=True, text=True, check=False)
+    return proc, a, b
+
+
+def read_order(directory):
+    """Checkout names in the order their stub run.py was invoked."""
+    with open(os.path.join(directory, "order.log")) as fh:
+        return fh.read().splitlines()
+
+
+def check_bench_mode(repo_root, directory, failures):
+    proc, a, b = run_bench_ab(repo_root, directory)
+    if proc.returncode != 0:
+        failures.append(f"bench mode: exit {proc.returncode}\n{proc.stderr}")
+        return
+    for root, calls in ((a, 3), (b, 3)):
+        with open(os.path.join(root, "argv.log")) as fh:
+            argv = fh.read().splitlines()
+        expect(argv == ["--workload churn_sync_sweep --seed 7 --trace 0"] *
+               calls, f"bench mode: {root} ran {argv!r}", failures)
+    expect(read_order(directory) == ["a", "b", "b", "a", "a", "b"],
+           f"bench mode: run order {read_order(directory)!r}", failures)
+    record = json.loads(proc.stdout)
+    series = record["series"]
+    expect(len(series) == 1 and series[0]["seed"] == 7,
+           "bench mode: expected one series for seed 7", failures)
+    metrics = series[0]["metrics"]
+    rss = metrics["peak_rss_mb"]
+    expect(rss["a"]["values"] == [100.0, 102.0, 101.0] and
+           rss["b"]["values"] == [80.0, 81.0, 82.0],
+           f"bench mode: peak_rss_mb values {rss['a']} {rss['b']}",
+           failures)
+    expect(rss["a"]["median"] == 101.0 and rss["a"]["iqr"] == 1.0,
+           "bench mode: A's peak_rss_mb median/IQR", failures)
+    expect(rss["wins"] == 3 and rss["verdict"] == "gain" and
+           rss["within_bound"], f"bench mode: peak_rss_mb {rss}", failures)
+    expect(abs(rss["median_change"] - (81.0 / 101.0 - 1.0)) < 1e-12,
+           "bench mode: peak_rss_mb median change", failures)
+    routes = metrics["routes_per_s"]
+    expect(routes["wins"] == 1 and routes["verdict"] == "unresolved",
+           f"bench mode: routes_per_s {routes}", failures)
+    wall = metrics["wall_s"]
+    expect(wall["losses"] == 3 and wall["verdict"] == "loss" and
+           not wall["within_bound"], f"bench mode: wall_s {wall}", failures)
+    expect("control" not in rss, "bench mode: control without --control",
+           failures)
+    # --control runs A B A', B A' A, A' A B: A's checkout serves A on its
+    # calls 0, 3, 5 = [100, 100, 101] and A' on calls 1, 2, 4 =
+    # [102, 101, 102], so the A-vs-A arm loses every pair.
+    proc, _, _ = run_bench_ab(repo_root, directory, control=True)
+    if proc.returncode != 0:
+        failures.append(f"bench --control: exit {proc.returncode}")
+        return
+    expect(read_order(directory) == ["a", "b", "a", "b", "a", "a",
+                                     "a", "a", "b"],
+           f"bench --control: run order {read_order(directory)!r}",
+           failures)
+    rss = json.loads(proc.stdout)["series"][0]["metrics"]["peak_rss_mb"]
+    expect(rss["a"]["values"] == [100.0, 100.0, 101.0] and
+           rss["c"]["values"] == [102.0, 101.0, 102.0] and
+           rss["control"]["wins"] == 0 and
+           rss["control"]["verdict"] == "loss",
+           f"bench --control: {rss.get('control')}", failures)
+    proc, _, _ = run_bench_ab(repo_root, directory, correct_b=False)
+    expect(proc.returncode == 1 and "FAIL" in proc.stderr,
+           f"bench mode: incorrect run gave exit {proc.returncode}",
+           failures)
+
+
 def main():
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
@@ -182,6 +325,8 @@ def main():
         expect("no comparable rows" in proc.stderr,
                "unpaired arms: missing 'no comparable rows' message",
                failures)
+    with tempfile.TemporaryDirectory() as directory:
+        check_bench_mode(repo_root, directory, failures)
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

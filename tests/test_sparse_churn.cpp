@@ -78,40 +78,44 @@ TEST(SparseChurn, BitIdenticalAcrossThreadCounts) {
   const ChurnParams params{.death_per_round = 0.03,
                            .rebirth_per_round = 0.07,
                            .refresh_interval = 6};
-  const SparseChurnConfig config{
-      .bits = 30, .capacity = 1500, .successors = 3, .shortcuts = 4};
-  for (const SparseChurnGeometry geometry : kAllGeometries) {
-    for (const double rho : {0.0, 0.5}) {
-      const TrajectoryOptions base{.warmup_rounds = 8,
-                                   .measured_rounds = 3,
-                                   .pairs_per_round = 400,
-                                   .shards = 8,
-                                   .repair_probability = rho};
-      const math::Rng rng(17);
-      SparseChurnResult reference;
-      bool first = true;
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        TrajectoryOptions options = base;
-        options.threads = threads;
-        const SparseChurnResult result = run_sparse_churn_trajectory(
-            geometry, config, params, options, rng);
-        ASSERT_EQ(result.per_round.size(), 3u);
-        if (first) {
-          reference = result;
-          first = false;
-          EXPECT_GT(result.overall.attempts, 0u) << to_string(geometry);
-          EXPECT_EQ(result.overall.hop_limit_hits(), 0u) << to_string(geometry);
-        } else {
-          for (std::size_t r = 0; r < result.per_round.size(); ++r) {
-            expect_identical(reference.per_round[r], result.per_round[r],
+  for (const int bits : {30, 40}) {
+    const SparseChurnConfig config{
+        .bits = bits, .capacity = 1500, .successors = 3, .shortcuts = 4};
+    for (const SparseChurnGeometry geometry : kAllGeometries) {
+      for (const double rho : {0.0, 0.5}) {
+        const TrajectoryOptions base{.warmup_rounds = 8,
+                                     .measured_rounds = 3,
+                                     .pairs_per_round = 400,
+                                     .shards = 8,
+                                     .repair_probability = rho};
+        const math::Rng rng(17);
+        SparseChurnResult reference;
+        bool first = true;
+        for (const unsigned threads : {1u, 2u, 8u}) {
+          TrajectoryOptions options = base;
+          options.threads = threads;
+          const SparseChurnResult result = run_sparse_churn_trajectory(
+              geometry, config, params, options, rng);
+          ASSERT_EQ(result.per_round.size(), 3u);
+          if (first) {
+            reference = result;
+            first = false;
+            EXPECT_GT(result.overall.attempts, 0u) << to_string(geometry);
+            EXPECT_EQ(result.overall.hop_limit_hits(), 0u)
+                << to_string(geometry);
+          } else {
+            for (std::size_t r = 0; r < result.per_round.size(); ++r) {
+              expect_identical(reference.per_round[r], result.per_round[r],
+                               to_string(geometry));
+            }
+            expect_identical(reference.overall, result.overall,
                              to_string(geometry));
+            EXPECT_EQ(reference.mean_population, result.mean_population);
+            EXPECT_EQ(reference.mean_alive_fraction,
+                      result.mean_alive_fraction);
+            EXPECT_EQ(reference.mean_entry_age, result.mean_entry_age);
+            EXPECT_EQ(reference.maintenance, result.maintenance);
           }
-          expect_identical(reference.overall, result.overall,
-                           to_string(geometry));
-          EXPECT_EQ(reference.mean_population, result.mean_population);
-          EXPECT_EQ(reference.mean_alive_fraction,
-                    result.mean_alive_fraction);
-          EXPECT_EQ(reference.mean_entry_age, result.mean_entry_age);
         }
       }
     }
@@ -162,6 +166,70 @@ TEST(SparseChurn, GoldenBitCompatWithPreKBucketEngine) {
         << to_string(golden.geometry);
     EXPECT_DOUBLE_EQ(result.mean_population, 1048.375)
         << to_string(golden.geometry);
+  }
+}
+
+TEST(SparseChurn, GoldenWideIds) {
+  // Key spaces above 2^32 keep 64-bit cached target ids in the rows; a
+  // row layout that narrowed them would route on truncated geometry.
+  // These exact counters were captured from the engine before the rows
+  // were packed (every cached id then a u64), at bits 33 and 63 with
+  // eager repair and k = 2 buckets, so the eviction shift runs on wide
+  // rows too.
+  const ChurnParams params{.death_per_round = 0.03,
+                           .rebirth_per_round = 0.07,
+                           .refresh_interval = 6};
+  const TrajectoryOptions options{.warmup_rounds = 8,
+                                  .measured_rounds = 3,
+                                  .pairs_per_round = 400,
+                                  .shards = 8,
+                                  .repair_probability = 0.2};
+  struct Golden {
+    SparseChurnGeometry geometry;
+    int bits;
+    std::uint64_t attempts, count, sum, sum_squares, min, max;
+    std::uint64_t failures[obs::kRouteFailureCount];
+    double mean_population, mean_entry_age;
+  };
+  const Golden goldens[] = {
+      {SparseChurnGeometry::kChord, 33, 9600, 9600, 46235, 243511, 1, 10,
+       {0, 0, 0, 0, 0}, 1046.5833333333333, 2.359077834739618},
+      {SparseChurnGeometry::kKademlia, 33, 9600, 9577, 47718, 261328, 1, 10,
+       {23, 0, 0, 0, 0}, 1046.5833333333333, 2.3854775026871109},
+      {SparseChurnGeometry::kSymphony, 33, 9600, 9596, 160168, 3267012, 1,
+       50, {4, 0, 0, 0, 0}, 1046.5833333333333, 2.3636014064183173},
+      {SparseChurnGeometry::kChord, 63, 9600, 9600, 46298, 244248, 1, 10,
+       {0, 0, 0, 0, 0}, 1046.5833333333333, 2.3564062434561133},
+      {SparseChurnGeometry::kKademlia, 63, 9600, 9588, 47733, 261639, 1, 11,
+       {12, 0, 0, 0, 0}, 1046.5833333333333, 2.3910616835465097},
+      {SparseChurnGeometry::kSymphony, 63, 9600, 9597, 240702, 7536978, 1,
+       85, {3, 0, 0, 0, 0}, 1046.5833333333333, 2.3594690946117778},
+  };
+  for (const Golden& golden : goldens) {
+    SparseChurnConfig config{.bits = golden.bits,
+                             .capacity = 1500,
+                             .successors = 3,
+                             .shortcuts = 4};
+    if (golden.geometry == SparseChurnGeometry::kKademlia) {
+      config.bucket_k = 2;
+    }
+    const auto result = run_sparse_churn_trajectory(
+        golden.geometry, config, params, options, math::Rng(53));
+    const std::string what = std::string(to_string(golden.geometry)) +
+                             " bits=" + std::to_string(golden.bits);
+    EXPECT_EQ(result.overall.attempts, golden.attempts) << what;
+    EXPECT_EQ(result.overall.hops.count(), golden.count) << what;
+    EXPECT_EQ(result.overall.hops.sum(), golden.sum) << what;
+    EXPECT_EQ(result.overall.hops.sum_squares(), golden.sum_squares) << what;
+    EXPECT_EQ(result.overall.hops.min(), golden.min) << what;
+    EXPECT_EQ(result.overall.hops.max(), golden.max) << what;
+    for (int c = 0; c < obs::kRouteFailureCount; ++c) {
+      EXPECT_EQ(result.overall.failures.counts[c], golden.failures[c])
+          << what << " fail_"
+          << obs::to_string(static_cast<obs::RouteFailure>(c));
+    }
+    EXPECT_EQ(result.mean_population, golden.mean_population) << what;
+    EXPECT_EQ(result.mean_entry_age, golden.mean_entry_age) << what;
   }
 }
 
@@ -660,6 +728,14 @@ TEST(SparseChurn, BatchedMatchesScalarPerPair) {
                       .replicas = 2,
                       .zipf_s = 0.8},
                      0.2});
+    // Above 32 bits the rows keep 64-bit cached ids.
+    cases.push_back({{.bits = 40,
+                      .capacity = 900,
+                      .successors = 3,
+                      .shortcuts = 4,
+                      .bucket_k = 2,
+                      .replicas = 2},
+                     0.3});
     for (const Case& c : cases) {
       const SparseChurnConfig& config = c.config;
       const std::string what =
@@ -688,6 +764,129 @@ TEST(SparseChurn, BatchedMatchesScalarPerPair) {
       EXPECT_EQ(scalar_world.load_summary(), batched_world.load_summary())
           << what;
     }
+  }
+}
+
+TEST(SparseChurn, RunningEntryAgeMatchesRecount) {
+  // mean_entry_age() reads a running stamp sum that every row write,
+  // leave and join keeps up to date; after every step it must equal the
+  // full recount over the present rows exactly -- across geometries,
+  // k = 4 buckets (the eviction shift moves stamps inside a row), Pareto
+  // sessions, eager repair, and in-flight rounds (leaves and joins
+  // interleaved with routes).  Heavy churn also drives whole-list
+  // collapses into full row rebuilds.
+  const ChurnParams params{.death_per_round = 0.12,
+                           .rebirth_per_round = 0.12,
+                           .refresh_interval = 5};
+  for (const SparseChurnGeometry geometry : kAllGeometries) {
+    for (const SessionKind session :
+         {SessionKind::kGeometric, SessionKind::kPareto}) {
+      for (const bool inflight : {false, true}) {
+        for (const double rho : {0.0, 0.5}) {
+          SparseChurnConfig config{
+              .bits = 24, .capacity = 700, .successors = 2, .shortcuts = 4};
+          config.bucket_k = 4;
+          config.session =
+              SessionModel{.kind = session, .pareto_alpha = 1.5};
+          SparseChurnWorld world(geometry, config, params, rho, 0,
+                                 math::Rng(71));
+          const std::string what =
+              std::string(to_string(geometry)) + " " + to_string(session) +
+              (inflight ? " inflight" : " sync") +
+              " rho=" + std::to_string(rho);
+          ASSERT_EQ(world.mean_entry_age(), world.mean_entry_age_recount())
+              << what << " at build";
+          for (int round = 0; round < 14; ++round) {
+            if (inflight) {
+              (void)world.measure_inflight(60);
+            } else {
+              world.step();
+              (void)world.measure(60);
+            }
+            ASSERT_EQ(world.mean_entry_age(),
+                      world.mean_entry_age_recount())
+                << what << " round " << round;
+          }
+          EXPECT_GT(world.total_leaves(), 0u) << what;
+          if (geometry == SparseChurnGeometry::kKademlia && rho > 0.0) {
+            EXPECT_GT(world.maintenance().repairs, 0u) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseChurn, MaintenanceCountersAreExactAcrossThreadCounts) {
+  // The work counters merge in shard order like the estimates: identical
+  // at 1, 3 and 8 threads.  With rho = 0 no entry is examined for repair
+  // and no Bernoulli is drawn; with rho > 0 repairs never exceed draws.
+  const ChurnParams params{.death_per_round = 0.05,
+                           .rebirth_per_round = 0.05,
+                           .refresh_interval = 6};
+  for (const SparseChurnGeometry geometry : kAllGeometries) {
+    for (const double rho : {0.0, 0.5}) {
+      SparseChurnConfig config{
+          .bits = 28, .capacity = 1200, .successors = 3, .shortcuts = 4};
+      config.bucket_k = 2;
+      const TrajectoryOptions base{.warmup_rounds = 5,
+                                   .measured_rounds = 3,
+                                   .pairs_per_round = 200,
+                                   .shards = 8,
+                                   .repair_probability = rho};
+      const std::string what =
+          std::string(to_string(geometry)) + " rho=" + std::to_string(rho);
+      MaintenanceCounters reference;
+      std::uint64_t reference_bytes = 0;
+      bool first = true;
+      for (const unsigned threads : {1u, 3u, 8u}) {
+        TrajectoryOptions options = base;
+        options.threads = threads;
+        const SparseChurnResult result = run_sparse_churn_trajectory(
+            geometry, config, params, options, math::Rng(43));
+        const MaintenanceCounters& m = result.maintenance;
+        if (first) {
+          reference = m;
+          reference_bytes = result.row_bytes;
+          first = false;
+        } else {
+          EXPECT_EQ(m, reference) << what << " threads=" << threads;
+          EXPECT_EQ(result.row_bytes, reference_bytes) << what;
+        }
+        EXPECT_GT(m.due_refreshes, 0u) << what;
+        EXPECT_GT(m.successor_rebuilds, 0u) << what;
+        EXPECT_GT(m.rows_rebuilt, 0u) << what;
+        EXPECT_LE(m.repairs, m.repair_draws) << what;
+        if (rho == 0.0) {
+          EXPECT_EQ(m.entries_examined, 0u) << what;
+          EXPECT_EQ(m.repair_draws, 0u) << what;
+          EXPECT_EQ(m.repairs, 0u) << what;
+        } else {
+          EXPECT_GT(m.entries_examined, m.repair_draws) << what;
+          EXPECT_GT(m.repairs, 0u) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseChurn, RowBytesFollowTheIdWidth) {
+  // Per slot: row_width cells of link (8) + cached id (4 at bits <= 32,
+  // 8 above) + stamp (4), one due bound (4) and stamp sum (8), s
+  // successor entries of link + id, and one successor stamp (4).
+  const ChurnParams params{.death_per_round = 0.05,
+                           .rebirth_per_round = 0.05,
+                           .refresh_interval = 6};
+  for (const int bits : {32, 33}) {
+    const SparseChurnConfig config{
+        .bits = bits, .capacity = 500, .successors = 3, .shortcuts = 4};
+    const SparseChurnWorld world(SparseChurnGeometry::kChord, config, params,
+                                 0.0, 0, math::Rng(5));
+    const std::uint64_t id_bytes = bits <= 32 ? 4 : 8;
+    const std::uint64_t per_slot =
+        static_cast<std::uint64_t>(bits) * (8 + id_bytes + 4) + 4 + 8 +
+        3 * (8 + id_bytes) + 4;
+    EXPECT_EQ(world.row_bytes(), 500 * per_slot) << "bits=" << bits;
   }
 }
 
