@@ -31,7 +31,7 @@ Usage:
              [--filter key=value ...] [--control] [--out BENCH.json]
   perf_ab.py --bench-a ../parent --bench-b . --workload churn_sync_sweep
              [--workload ...] [--seed 1 --seed 20061] [--pairs 10]
-             [--seconds S] [--control] [--out BENCH_prNN.json]
+             [--control] [--out BENCH_prNN.json]
 
 The A/B binaries run with identical arguments.  --filter restricts the
 compared rows (e.g. --filter inflight=false keeps only sync-mode rows).
@@ -44,10 +44,12 @@ Exit status: 0 on success, 1 if no rows matched or a run failed.
 
 The second form is the A/B path for the benchmark of record: it runs
 `python3 perfbench/run.py --workload W --seed S --trace 0` inside two
-checkouts in alternation, `--pairs` times per (workload, seed) series.
-The order rotates every pair so each arm runs first equally often:
-A B, B A, A B, ... or, with --control, A B A', B A' A, A' A B, ...  Each checkout builds its own
-measuring program the first time.  For every end-to-end metric declared in
+checkouts in alternation, `--pairs` times per (workload, seed) series,
+at the run length BENCHMARK.json declares.  The order rotates every pair:
+A B, B A, A B, ... or, with --control, A B A', B A' A, A' A B, ...  Each
+arm runs first equally often when --pairs is a multiple of the arm count
+(2, or 3 with --control).  Each checkout builds its own measuring program
+the first time.  For every end-to-end metric declared in
 A's BENCHMARK.json it reports each arm's median, IQR and values, the
 number of pairs B wins (in the metric's declared direction), the relative
 change of the medians, and a verdict: "gain" when B wins at least 9 of
@@ -55,14 +57,18 @@ every 10 pairs AND its median beats A's by more than A's IQR, "loss" for
 the mirror image, "unresolved" otherwise.  `within_bound` tells whether a
 worse median stays inside the metric's declared bound.  With --control
 the A-vs-A arm gets the same statistics, the noise such a comparison
-shows on the same code.  A run that fails or reports incorrect results
-stops the comparison with exit status 1.
+shows on the same code.  The record names each checkout by its commit
+(`git describe --always --dirty`; the path when the checkout is not the
+top of a git work tree) and the host by CPU count and machine type, so
+it is the script's output as written.  A run that fails or reports
+incorrect results stops the comparison with exit status 1.
 """
 
 import argparse
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -166,13 +172,28 @@ def bench_metrics(checkout):
             for m in spec["end_to_end"]}
 
 
-def run_bench(checkout, workload, seed, seconds):
+def checkout_label(checkout):
+    """The commit a checkout holds (`git describe --always --dirty`), or
+    its path when it is not the top of a git work tree."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", checkout] + list(args),
+                              capture_output=True, text=True, check=False)
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+    try:
+        top = git("rev-parse", "--show-toplevel")
+        if top and os.path.realpath(top) == os.path.realpath(checkout):
+            return git("describe", "--always", "--dirty",
+                       "--abbrev=12") or checkout
+    except OSError:  # no git on this host
+        pass
+    return checkout
+
+
+def run_bench(checkout, workload, seed):
     """One benchmark-of-record run in `checkout`; returns {metric: value}
     from the JSON line run.py ends with, or exits 1 on a failed run."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     record = None
     for line in reversed(proc.stdout.splitlines()):
@@ -219,6 +240,9 @@ def compare_series(baseline, candidate, better):
 def bench_main(opts):
     """The two-checkout benchmark-of-record mode (see the module doc)."""
     metrics = bench_metrics(opts.bench_a)
+    # Labelled before the runs: the record names what was measured.
+    labels = {"a": checkout_label(opts.bench_a),
+              "b": checkout_label(opts.bench_b)}
     workloads = opts.workload or ["churn_sync_sweep"]
     seeds = opts.seed or [1]
     arms = [("a", opts.bench_a), ("b", opts.bench_b)]
@@ -230,15 +254,16 @@ def bench_main(opts):
             values = {arm: {} for arm, _ in arms}
             for pair in range(opts.pairs):
                 # Rotate the run order each pair so every arm goes first
-                # equally often: a drift in the box's load (or a warm
-                # cache left by the previous run) then favors no arm.
+                # equally often over each len(arms) pairs: a drift in the
+                # box's load (or a warm cache left by the previous run)
+                # then favors no arm.
                 shift = pair % len(arms)
                 for arm, checkout in arms[shift:] + arms[:shift]:
                     sys.stderr.write(
                         f"[perf_ab] {workload} seed {seed} pair "
                         f"{pair + 1}/{opts.pairs} arm {arm.upper()}: "
                         f"{checkout}\n")
-                    got = run_bench(checkout, workload, seed, opts.seconds)
+                    got = run_bench(checkout, workload, seed)
                     for name, value in got.items():
                         values[arm].setdefault(name, []).append(value)
             results = {}
@@ -277,10 +302,10 @@ def bench_main(opts):
         "bench": "perf_ab",
         "mode": "perfbench",
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   "--trace 0" + (f" --seconds {opts.seconds}"
-                                  if opts.seconds else ""),
-        "a": opts.bench_a,
-        "b": opts.bench_b,
+                   "--trace 0",
+        "a": labels["a"],
+        "b": labels["b"],
+        "host": {"cpus": os.cpu_count(), "machine": platform.machine()},
         "pairs": opts.pairs,
         "control": opts.control,
         "rule": f"gain: B wins >= {WIN_SHARE:.0%} of pairs and its median "
@@ -311,8 +336,6 @@ def main():
                     help="perfbench seed (repeatable; default 1)")
     ap.add_argument("--pairs", type=int, default=10,
                     help="alternating runs per arm in the perfbench mode")
-    ap.add_argument("--seconds", type=float, default=0.0,
-                    help="perfbench --seconds (0: BENCHMARK.json's)")
     ap.add_argument("--args", default="", help="arguments for both arms")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--metric", default="routes_per_sec",

@@ -701,7 +701,6 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
       capacity * static_cast<std::uint64_t>(config_.successors);
   table_.assign(row_cells, kEmptyLink, narrow_ids());
   refreshed_at_.assign(row_cells, 0);
-  row_stamp_sums_.assign(capacity, 0);
   // INT32_MIN = "possibly due immediately": rows earn a real bound at
   // their first full maintenance scan.
   table_due_round_.assign(capacity, std::numeric_limits<std::int32_t>::min());
@@ -723,12 +722,11 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
           -static_cast<std::int32_t>(table_rng_.uniform_below(interval));
     }
   });
-  // The staggered stamps bypass install_cell, so the running sums start
+  // The staggered stamps bypass install_cell, so the running sum starts
   // from one recount; the build's installs are not maintenance work.
   entry_stamp_sum_ = 0;
   for_each_alive(membership_, [&](NodeSlot slot) {
-    row_stamp_sums_[slot] = row_stamp_sum(slot);
-    entry_stamp_sum_ += row_stamp_sums_[slot];
+    entry_stamp_sum_ += row_stamp_sum(slot);
   });
   maintenance_ = MaintenanceCounters{};
 }
@@ -762,23 +760,15 @@ void SparseChurnWorld::put_cell(std::uint64_t offset, std::uint64_t link,
   refreshed_at_[offset] = stamp;
 }
 
-void SparseChurnWorld::install_cell(NodeSlot owner, std::uint64_t offset,
-                                    std::uint64_t link, std::uint64_t id,
-                                    std::int32_t stamp) {
-  const std::int64_t delta =
+// Every install lands in a present row -- maintenance visits present
+// slots only, and announcements follow a commit whose order index holds
+// present slots only -- so the stamp change goes straight into the sum,
+// read from the line being written.
+void SparseChurnWorld::install_cell(std::uint64_t offset, std::uint64_t link,
+                                    std::uint64_t id, std::int32_t stamp) {
+  entry_stamp_sum_ +=
       static_cast<std::int64_t>(stamp) - refreshed_at_[offset];
-  row_stamp_sums_[owner] += delta;
-  if (membership_.present(owner)) {
-    entry_stamp_sum_ += delta;
-  }
   put_cell(offset, link, id, stamp);
-}
-
-void SparseChurnWorld::set_row_stamp_sum(NodeSlot owner, std::int64_t sum) {
-  if (membership_.present(owner)) {
-    entry_stamp_sum_ += sum - row_stamp_sums_[owner];
-  }
-  row_stamp_sums_[owner] = sum;
 }
 
 std::int64_t SparseChurnWorld::row_stamp_sum(NodeSlot slot) const {
@@ -796,7 +786,7 @@ std::int64_t SparseChurnWorld::row_stamp_sum(NodeSlot slot) const {
 void SparseChurnWorld::leave_slot(NodeSlot slot) {
   membership_.leave(slot);
   ++total_leaves_;
-  entry_stamp_sum_ -= row_stamp_sums_[slot];
+  entry_stamp_sum_ -= row_stamp_sum(slot);
 }
 
 NodeSlot SparseChurnWorld::choose_target(NodeSlot slot, int index) {
@@ -861,8 +851,7 @@ std::uint64_t SparseChurnWorld::cached_id(NodeSlot owner,
 
 void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
   const NodeSlot chosen = choose_target(slot, index);
-  install_cell(slot,
-               slot * static_cast<std::uint64_t>(row_width_) +
+  install_cell(slot * static_cast<std::uint64_t>(row_width_) +
                    static_cast<std::uint64_t>(index),
                link_to(chosen), cached_id(slot, chosen),
                static_cast<std::int32_t>(round_));
@@ -871,7 +860,8 @@ void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
 // Whole-row rebuild: the same choices and writes as refresh_entry per
 // index, but the row's new stamp sum is known outright (every cell gets
 // this round), so the row's stale stamps -- cold for a joiner -- are never
-// read.
+// read.  The row enters the stamp sum whole: a joiner's row is outside it
+// until here, and a present row's caller takes its old stamps out first.
 void SparseChurnWorld::rebuild_tables(NodeSlot slot) {
   ++maintenance_.rows_rebuilt;
   const std::uint64_t base = slot * static_cast<std::uint64_t>(row_width_);
@@ -898,7 +888,7 @@ void SparseChurnWorld::rebuild_tables(NodeSlot slot) {
                cached_id(slot, chosen), stamp);
     }
   }
-  set_row_stamp_sum(slot, static_cast<std::int64_t>(row_width_) * stamp);
+  entry_stamp_sum_ += static_cast<std::int64_t>(row_width_) * stamp;
 }
 
 void SparseChurnWorld::rebuild_successors(NodeSlot slot,
@@ -975,7 +965,7 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
           const std::uint64_t offset =
               bucket_base + static_cast<std::uint64_t>(cell);
           if (!entry_valid(table_.links[offset])) {
-            install_cell(peer, offset, link, id,
+            install_cell(offset, link, id,
                          static_cast<std::int32_t>(round_));
             break;
           }
@@ -1015,6 +1005,7 @@ void SparseChurnWorld::maintain_successors(NodeSlot slot) {
     } else {
       // Every sequential neighbor is gone: fall back to a full rebuild
       // (tables included), the re-join-like recovery path.
+      entry_stamp_sum_ -= row_stamp_sum(slot);
       rebuild_node(slot);
     }
   } else if (round_ - successors_refreshed_at_[slot] >=
@@ -1147,8 +1138,8 @@ void SparseChurnWorld::maintain_kademlia_buckets(NodeSlot slot) {
           for (int t = cell; t + 1 < k; ++t) {
             const std::uint64_t dst =
                 bucket_base + static_cast<std::uint64_t>(t);
-            install_cell(slot, dst, table_.links[dst + 1],
-                         table_.id(dst + 1), refreshed_at_[dst + 1]);
+            install_cell(dst, table_.links[dst + 1], table_.id(dst + 1),
+                         refreshed_at_[dst + 1]);
           }
           refresh_entry(slot, b * k + (k - 1));
           // The shifted-in cell keeps its own stamps and gets its next
@@ -1189,11 +1180,8 @@ void SparseChurnWorld::integrate_joiners(bool commit_always) {
   membership_.join(joiners_, id_rng_);
   membership_.commit(/*refresh_seek=*/commit_always);
   total_joins_ += joiners_.size();
-  // The joined rows enter the stamp sum with their previous occupant's
-  // stamps; the rebuilds below move each stamp to this round.
   for (const NodeSlot slot : joiners_) {
     joined_at_[slot] = round_;
-    entry_stamp_sum_ += row_stamp_sums_[slot];
   }
   for (const NodeSlot slot : joiners_) {
     rebuild_node(slot);
@@ -1817,8 +1805,7 @@ std::uint64_t SparseChurnWorld::row_bytes() const noexcept {
   return table_.bytes() + successors_.bytes() +
          (refreshed_at_.size() + table_due_round_.size() +
           successors_refreshed_at_.size()) *
-             sizeof(std::int32_t) +
-         row_stamp_sums_.size() * sizeof(std::int64_t);
+             sizeof(std::int32_t);
 }
 
 SparseChurnResult run_sparse_churn_trajectory(

@@ -268,8 +268,7 @@ class SparseChurnWorld {
   }
 
   /// Bytes of the row state: table links, cached ids and stamps, the
-  /// per-row due bounds and stamp sums, and the successor lists with their
-  /// stamps.
+  /// per-row due bounds, and the successor lists with their stamps.
   std::uint64_t row_bytes() const noexcept;
 
   const SparseMembership& membership() const noexcept { return membership_; }
@@ -333,15 +332,15 @@ class SparseChurnWorld {
                                                std::uint64_t events_per_hop,
                                                math::Rng& rng);
   // Table-cell writes.  put_cell is the one store of a cell's link word,
-  // cached id and stamp; install_cell adds the cell's stamp change to its
-  // row's sum (and to the present-row sum while `owner` is present);
-  // whole-row rebuilds put every cell and then set the row's sum once.
+  // cached id and stamp; install_cell also adds the cell's stamp change to
+  // the stamp sum; whole-row rebuilds put every cell and add the row's new
+  // sum once.
   void put_cell(std::uint64_t offset, std::uint64_t link, std::uint64_t id,
                 std::int32_t stamp);
-  void install_cell(NodeSlot owner, std::uint64_t offset, std::uint64_t link,
+  void install_cell(std::uint64_t offset, std::uint64_t link,
                     std::uint64_t id, std::int32_t stamp);
-  void set_row_stamp_sum(NodeSlot owner, std::int64_t sum);
-  // Streams the row's stamps (the build's seed and the recount oracle).
+  // Streams the row's stamps (the build's seed, a leaving or rebuilt
+  // present row, and the recount oracle).
   std::int64_t row_stamp_sum(NodeSlot slot) const;
   // The geometry's pick for table cell `index` of `slot` against the
   // current membership (kNoSlot when nothing qualifies).
@@ -433,11 +432,10 @@ class SparseChurnWorld {
   // (32 fingers per row) holds 64 MiB of table cells.
   EntryRows table_;
   std::vector<std::int32_t> refreshed_at_;
-  // Exact stamp sums: per row (install_cell adds each stamp change), and
-  // over present slots' rows (install_cell adds a present row's changes;
-  // leave_slot / joins move a whole row's sum out of / into it without
-  // touching the row).  mean_entry_age() reads the latter in O(1).
-  std::vector<std::int64_t> row_stamp_sums_;
+  // Exact stamp sum over present slots' rows: install_cell adds a present
+  // row's stamp changes, a joiner's rebuild adds its whole row at the join
+  // round, and leave_slot streams the departing row's stamps out.
+  // mean_entry_age() reads it in O(1).
   std::int64_t entry_stamp_sum_ = 0;
   // Earliest round at which a slot's row can hold a due entry
   // (min refreshed_at over the row + R, maintained conservatively: stamps

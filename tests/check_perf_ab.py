@@ -14,7 +14,9 @@ It then drives the perfbench mode against two stub checkouts -- each a
 directory with a BENCHMARK.json and a perfbench/run.py that prints fixed
 metrics, a different set on each call -- and asserts:
   5. run.py is invoked as `--workload W --seed S --trace 0` in each
-     checkout, the run order rotating every pair (A B, B A, ...);
+     checkout, the run order rotating every pair (A B, B A, ...), and the
+     record names each checkout by its commit (by its path when it is not
+     a git work tree) and the host by its CPU count;
   6. per metric, each arm's median/IQR/values, B's pairwise wins, the
      median change and the verdict: gain / loss / unresolved, plus
      within_bound against the declared bound;
@@ -213,6 +215,11 @@ def check_bench_mode(repo_root, directory, failures):
     expect(read_order(directory) == ["a", "b", "b", "a", "a", "b"],
            f"bench mode: run order {read_order(directory)!r}", failures)
     record = json.loads(proc.stdout)
+    expect(record["a"] == a and record["b"] == b,
+           f"bench mode: plain checkouts labelled {record['a']!r}, "
+           f"{record['b']!r}", failures)
+    expect(record["host"]["cpus"] == os.cpu_count(),
+           f"bench mode: host {record['host']!r}", failures)
     series = record["series"]
     expect(len(series) == 1 and series[0]["seed"] == 7,
            "bench mode: expected one series for seed 7", failures)
@@ -256,6 +263,34 @@ def check_bench_mode(repo_root, directory, failures):
     proc, _, _ = run_bench_ab(repo_root, directory, correct_b=False)
     expect(proc.returncode == 1 and "FAIL" in proc.stderr,
            f"bench mode: incorrect run gave exit {proc.returncode}",
+           failures)
+    if shutil.which("git"):
+        check_commit_label(repo_root, directory, failures)
+
+
+def check_commit_label(repo_root, directory, failures):
+    """A checkout that is a git work tree is named by its commit."""
+    shutil.rmtree(directory)
+    os.makedirs(directory)
+    a = write_checkout(directory, "a")
+    b = write_checkout(directory, "b")
+    git = ["git", "-C", b, "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "--short=12", "HEAD"],
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
+    proc = subprocess.run(
+        [sys.executable, os.path.join(repo_root, "scripts", "perf_ab.py"),
+         "--bench-a", a, "--bench-b", b, "--pairs", "1"],
+        capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        failures.append(f"commit label: exit {proc.returncode}")
+        return
+    record = json.loads(proc.stdout)
+    expect(record["a"] == a and record["b"] == head,
+           f"commit label: {record['a']!r}, {record['b']!r} (HEAD {head})",
            failures)
 
 

@@ -872,8 +872,8 @@ TEST(SparseChurn, MaintenanceCountersAreExactAcrossThreadCounts) {
 
 TEST(SparseChurn, RowBytesFollowTheIdWidth) {
   // Per slot: row_width cells of link (8) + cached id (4 at bits <= 32,
-  // 8 above) + stamp (4), one due bound (4) and stamp sum (8), s
-  // successor entries of link + id, and one successor stamp (4).
+  // 8 above) + stamp (4), one due bound (4), s successor entries of
+  // link + id, and one successor stamp (4).
   const ChurnParams params{.death_per_round = 0.05,
                            .rebirth_per_round = 0.05,
                            .refresh_interval = 6};
@@ -884,7 +884,7 @@ TEST(SparseChurn, RowBytesFollowTheIdWidth) {
                                  0.0, 0, math::Rng(5));
     const std::uint64_t id_bytes = bits <= 32 ? 4 : 8;
     const std::uint64_t per_slot =
-        static_cast<std::uint64_t>(bits) * (8 + id_bytes + 4) + 4 + 8 +
+        static_cast<std::uint64_t>(bits) * (8 + id_bytes + 4) + 4 +
         3 * (8 + id_bytes) + 4;
     EXPECT_EQ(world.row_bytes(), 500 * per_slot) << "bits=" << bits;
   }
