@@ -52,20 +52,24 @@
 //    "routability":0.9991,"mean_population":65519.2,
 //    "maint_examined":0,"maint_due":22836481,"maint_draws":0,
 //    "maint_repairs":0,"maint_succ_rebuilds":1330897,
-//    "maint_rows_rebuilt":158027,"row_bytes":46530560,
+//    "maint_rows_rebuilt":158027,"row_bytes":37661184,
 //    "identical_across_threads":true}
 //
 // The maint_* columns are the shard-merged maintenance work counters
 // (churn::MaintenanceCounters: entries the rho > 0 scan examined, due
 // refreshes, repair draws, repairs, successor-list rebuilds, whole-row
-// rebuilds) and row_bytes the per-entry row state of one shard world --
-// exact integers, gated across thread counts like the estimates.
+// rebuilds) and row_bytes the row state of the largest shard world (its
+// materialized rows plus the per-slot row map) -- exact integers, gated
+// across thread counts like the estimates.
 //
-// The section runs the thread sweep twice: the round-synchronous
-// single-contact geometric configuration above, and the full dynamic
-// realism stack -- in-flight lookup measurement (the world steps DURING
-// each route), k = 4 Kademlia-style bucket rows, heavy-tailed Pareto
-// sessions -- so both modes stay determinism-gated in CI.  As with the
+// The section runs the thread sweep over four modes: the round-synchronous
+// single-contact geometric configuration above; the full dynamic realism
+// stack -- in-flight lookup measurement (the world steps DURING each
+// route), k = 4 Kademlia-style bucket rows, heavy-tailed Pareto sessions;
+// the replicated-GET mode below; and the first mode again with eager
+// repair at rho = 0.5, so the repair scan's maint_examined / maint_draws /
+// maint_repairs counters are nonzero under the determinism gate.  The rho
+// column tells the first and last apart.  As with the
 // dense churn section, wall time covers world evolution plus sampling, so
 // the throughput metric is shard-rounds/sec.
 //
@@ -794,13 +798,15 @@ int main(int argc, char** argv) {
     const churn::ChurnParams params{.death_per_round = cfg.pd,
                                     .rebirth_per_round = cfg.pr,
                                     .refresh_interval = cfg.refresh};
-    // Three determinism-gated configurations: the round-synchronous
+    // Four determinism-gated configurations: the round-synchronous
     // single-contact geometric baseline, the full dynamic realism stack
     // (in-flight measurement, k = 4 buckets, heavy-tailed Pareto sessions)
     // -- Kademlia for the latter so the bucket machinery is on the measured
-    // path -- and the heavy-traffic GET mode: Zipf-popular objects fetched
+    // path -- the heavy-traffic GET mode: Zipf-popular objects fetched
     // from an r-way successor-list replica group, with per-slot load
-    // accounting, so availability-under-churn x replication is tracked.
+    // accounting, so availability-under-churn x replication is tracked --
+    // and the baseline with eager repair (rho = 0.5), which runs the
+    // repair scan and its Bernoulli draws.
     struct SparseChurnMode {
       churn::SparseChurnGeometry geometry;
       bool inflight;
@@ -808,14 +814,17 @@ int main(int argc, char** argv) {
       churn::SessionKind session;
       int replicas;
       double zipf_s;
+      double rho;
     };
     const SparseChurnMode modes[] = {
         {churn::SparseChurnGeometry::kChord, false, 1,
-         churn::SessionKind::kGeometric, 1, 0.0},
+         churn::SessionKind::kGeometric, 1, 0.0, 0.0},
         {churn::SparseChurnGeometry::kKademlia, true, 4,
-         churn::SessionKind::kPareto, 1, 0.0},
+         churn::SessionKind::kPareto, 1, 0.0, 0.0},
         {churn::SparseChurnGeometry::kChord, false, 1,
-         churn::SessionKind::kGeometric, cfg.replicas, cfg.zipf},
+         churn::SessionKind::kGeometric, cfg.replicas, cfg.zipf, 0.0},
+        {churn::SparseChurnGeometry::kChord, false, 1,
+         churn::SessionKind::kGeometric, 1, 0.0, 0.5},
     };
     for (const SparseChurnMode& mode : modes) {
       churn::SparseChurnConfig config{
@@ -834,7 +843,8 @@ int main(int argc, char** argv) {
           .warmup_rounds = 12,
           .measured_rounds = cfg.sparse_churn_rounds,
           .pairs_per_round = 2000,
-          .shards = 8};
+          .shards = 8,
+          .repair_probability = mode.rho};
       base.inflight = mode.inflight;
       const double q_eff = churn::effective_q(params);
       const double q_nr = churn::effective_q_no_return(params, config.session);

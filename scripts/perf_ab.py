@@ -40,15 +40,17 @@ Output: a human summary on stderr and one JSON record on stdout (or to
 arms, and the geomean speedup.  Speedups are > 1 when B is better: B/A for
 higher-is-better metrics, A/B for seconds.  With --control each row also
 carries the control's values, its speedup and band, and `resolved`.
-Exit status: 0 on success, 1 if no rows matched or a run failed.
+Exit status: 0 on success, 1 if no rows matched or a run failed, 2 on a
+usage error.
 
 The second form is the A/B path for the benchmark of record: it runs
 `python3 perfbench/run.py --workload W --seed S --trace 0` inside two
 checkouts in alternation, `--pairs` times per (workload, seed) series,
 at the run length BENCHMARK.json declares.  The order rotates every pair:
-A B, B A, A B, ... or, with --control, A B A', B A' A, A' A B, ...  Each
-arm runs first equally often when --pairs is a multiple of the arm count
-(2, or 3 with --control).  Each checkout builds its own measuring program
+A B, B A, A B, ... or, with --control, A B A', B A' A, A' A B, ...
+--pairs must be a multiple of the arm count (2, or 3 with --control), so
+each arm runs first equally often; any other count exits with status 2
+before a run starts.  Each checkout builds its own measuring program
 the first time.  For every end-to-end metric declared in
 A's BENCHMARK.json it reports each arm's median, IQR and values, the
 number of pairs B wins (in the metric's declared direction), the relative
@@ -76,7 +78,7 @@ import sys
 # benches vary, so re-runs pair up even if row order shifts.
 KEY_FIELDS = [
     "section", "geometry", "mode", "bits", "n", "n0", "pairs", "succ",
-    "inflight", "k", "session", "replicas", "cache_entries",
+    "inflight", "k", "session", "replicas", "rho", "cache_entries",
     "threads",
 ]
 
@@ -358,6 +360,12 @@ def main():
         if not (opts.bench_a and opts.bench_b) or opts.pairs < 1:
             ap.error("the perfbench mode needs --bench-a, --bench-b and "
                      "--pairs >= 1")
+        arm_count = 3 if opts.control else 2
+        arms = "A, B, A'" if opts.control else "A, B"
+        if opts.pairs % arm_count != 0:
+            ap.error(f"--pairs {opts.pairs} is not a multiple of the arm "
+                     f"count {arm_count} ({arms}): the rotation would put "
+                     "some arm first more often than the others")
         return bench_main(opts)
     if not (opts.a and opts.b):
         ap.error("--a and --b are required (or --bench-a and --bench-b)")

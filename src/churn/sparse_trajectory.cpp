@@ -14,19 +14,20 @@
 namespace dht::churn {
 
 // Flattened routing view over a world's slot state: identifiers (stale for
-// departed slots), the packed epoch structure (one alive-bitmap u64 word
-// per 64 slots + the flat generation array), the row-major tables with
-// their cached install-time target ids, and the successor lists.  Kernels
-// compare identifiers but step between slots -- the sparse/flat_sparse.hpp
-// pattern with mutable membership underneath.  `Id` is the cached-id word
-// of the rows (u32 when the key space fits in 32 bits, else u64); every
-// kernel is written once over it and widens a cached id only where it
-// meets a full identifier.
+// departed slots), the slot-to-row map -- one row word per slot,
+// (generation << 32) | row, the occupancy generation beside the slot's
+// pool row (kNoRow while the slot is absent) -- the pooled row-major
+// tables with their cached install-time target ids, and the successor
+// lists.  Kernels compare identifiers but step between slots; the one
+// random load that validates an entry also yields the next hop's row.
+// The sparse/flat_sparse.hpp pattern with mutable membership underneath.
+// `Id` is the cached-id word of the rows (u32 when the key space fits in
+// 32 bits, else u64); every kernel is written once over it and widens a
+// cached id only where it meets a full identifier.
 template <typename Id>
 struct ChurnKernelCtx {
   const std::uint64_t* ids = nullptr;
-  const std::uint64_t* alive_bits = nullptr;
-  const std::uint32_t* generations = nullptr;
+  const std::uint64_t* rows = nullptr;
   const std::uint64_t* table_links = nullptr;
   const Id* table_id = nullptr;
   const std::uint64_t* successor_links = nullptr;
@@ -63,13 +64,46 @@ inline NodeSlot link_slot(std::uint64_t link) {
   return static_cast<NodeSlot>(link);
 }
 
-inline std::uint32_t link_generation(std::uint64_t link) {
-  return static_cast<std::uint32_t>(link >> 32);
+// A slot's row word mirrors the link word: the slot's occupancy
+// generation in the high half and its pool row in the low half, kNoRow
+// while the slot is absent.  Leaving keeps the generation and drops the
+// row; joining bumps the generation and takes a row.
+constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+
+inline std::uint32_t word_row(std::uint64_t row_word) {
+  return static_cast<std::uint32_t>(row_word);
+}
+
+// An entry is valid only while its target slot is present under the
+// generation the entry was installed against: the two words' high halves
+// agree and the slot holds a row.  One load answers both.
+inline bool link_valid(const std::uint64_t* rows, std::uint64_t link) {
+  const NodeSlot entry = link_slot(link);
+  if (entry == kNoSlot) {
+    return false;
+  }
+  const std::uint64_t word = rows[entry];
+  return (word >> 32) == (link >> 32) && word_row(word) != kNoRow;
 }
 
 template <typename Id>
 inline bool ctx_slot_alive(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
-  return ((c.alive_bits[slot >> 6] >> (slot & 63)) & 1) != 0;
+  return word_row(c.rows[slot]) != kNoRow;
+}
+
+// Offsets of a present slot's table row and successor list.
+template <typename Id>
+inline std::uint64_t ctx_table_base(const ChurnKernelCtx<Id>& c,
+                                    NodeSlot slot) {
+  return static_cast<std::uint64_t>(word_row(c.rows[slot])) *
+         static_cast<std::uint64_t>(c.row_width);
+}
+
+template <typename Id>
+inline std::uint64_t ctx_successor_base(const ChurnKernelCtx<Id>& c,
+                                        NodeSlot slot) {
+  return static_cast<std::uint64_t>(word_row(c.rows[slot])) *
+         static_cast<std::uint64_t>(c.s);
 }
 
 // An entry is routable only while its target slot is present under the
@@ -81,9 +115,7 @@ inline bool ctx_slot_alive(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
 // never change which entry a kernel picks.
 template <typename Id>
 inline bool ctx_link_valid(const ChurnKernelCtx<Id>& c, std::uint64_t link) {
-  const NodeSlot entry = link_slot(link);
-  return entry != kNoSlot && ctx_slot_alive(c, entry) &&
-         c.generations[entry] == link_generation(link);
+  return link_valid(c.rows, link);
 }
 
 // Classifies a no-admissible-hop drop for the failure taxonomy: if the
@@ -97,7 +129,7 @@ template <typename Id>
 inline obs::RouteFailure classify_drop(const ChurnKernelCtx<Id>& c,
                                        NodeSlot cur) {
   if (c.s > 0) {
-    const std::uint64_t base = cur * static_cast<std::uint64_t>(c.s);
+    const std::uint64_t base = ctx_successor_base(c, cur);
     for (int t = 0; t < c.s; ++t) {
       const std::uint64_t link =
           c.successor_links[base + static_cast<std::uint64_t>(t)];
@@ -121,15 +153,16 @@ struct StepResult {
 // successor-id row), the only per-hop streams the ring kernels scan.
 template <typename Id>
 inline void prefetch_ring_row(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
+  const std::uint64_t row_index = word_row(c.rows[slot]);
   const auto* row = reinterpret_cast<const char*>(
-      c.table_id + slot * static_cast<std::uint64_t>(c.row_width));
+      c.table_id + row_index * static_cast<std::uint64_t>(c.row_width));
   const int row_bytes = c.row_width * static_cast<int>(sizeof(Id));
   for (int off = 0; off < row_bytes; off += 64) {
     __builtin_prefetch(row + off);
   }
   if (c.s > 0) {
     const auto* succ = reinterpret_cast<const char*>(
-        c.successors_id + slot * static_cast<std::uint64_t>(c.s));
+        c.successors_id + row_index * static_cast<std::uint64_t>(c.s));
     const int succ_bytes = c.s * static_cast<int>(sizeof(Id));
     for (int off = 0; off < succ_bytes; off += 64) {
       __builtin_prefetch(succ + off);
@@ -149,7 +182,7 @@ inline void prefetch_xor_bucket(const ChurnKernelCtx<Id>& c, NodeSlot slot,
   }
   const int d = c.row_width / c.bucket_k;
   const std::uint64_t base =
-      slot * static_cast<std::uint64_t>(c.row_width) +
+      ctx_table_base(c, slot) +
       static_cast<std::uint64_t>(d - std::bit_width(distance)) *
           static_cast<std::uint64_t>(c.bucket_k);
   constexpr int kIdsPerLine = 64 / static_cast<int>(sizeof(Id));
@@ -161,17 +194,18 @@ inline void prefetch_xor_bucket(const ChurnKernelCtx<Id>& c, NodeSlot slot,
 // Clockwise progress of each candidate from `cur_id`, in the id word: all
 // identifiers lie below 2^bits <= 2^(8 sizeof(Id)), so the modular
 // difference taken in Id and masked equals the u64 one.  Row cells come
-// first, then the successor list.
+// first, then the successor list.  `row` is the holder's pool row.
 template <typename Id>
-inline void ring_progress(const ChurnKernelCtx<Id>& c, NodeSlot cur,
+inline void ring_progress(const ChurnKernelCtx<Id>& c, std::uint32_t row,
                           std::uint64_t cur_id, Id* progress) {
   const auto mask = static_cast<Id>(c.key_mask);
   const auto from = static_cast<Id>(cur_id);
-  const Id* row = c.table_id + cur * static_cast<std::uint64_t>(c.row_width);
+  const Id* cells =
+      c.table_id + row * static_cast<std::uint64_t>(c.row_width);
   for (int j = 0; j < c.row_width; ++j) {
-    progress[j] = static_cast<Id>(row[j] - from) & mask;
+    progress[j] = static_cast<Id>(cells[j] - from) & mask;
   }
-  const Id* succ = c.successors_id + cur * static_cast<std::uint64_t>(c.s);
+  const Id* succ = c.successors_id + row * static_cast<std::uint64_t>(c.s);
   for (int t = 0; t < c.s; ++t) {
     progress[c.row_width + t] = static_cast<Id>(succ[t] - from) & mask;
   }
@@ -194,15 +228,15 @@ inline int best_candidate(const Id* progress, int m, Id distance) {
   return bj;
 }
 
-// Row offset (row cell) or successor-list offset (successor entry) of
-// candidate `j` of `cur`'s ring lattice.
+// Table offset (row cell) or successor-list offset (successor entry) of
+// candidate `j` of the ring lattice of pool row `row`.
 template <typename Id>
 inline std::uint64_t candidate_offset(const ChurnKernelCtx<Id>& c,
-                                      NodeSlot cur, int j) {
+                                      std::uint32_t row, int j) {
   return j < c.row_width
-             ? cur * static_cast<std::uint64_t>(c.row_width) +
+             ? row * static_cast<std::uint64_t>(c.row_width) +
                    static_cast<std::uint64_t>(j)
-             : cur * static_cast<std::uint64_t>(c.s) +
+             : row * static_cast<std::uint64_t>(c.s) +
                    static_cast<std::uint64_t>(j - c.row_width);
 }
 
@@ -223,15 +257,16 @@ inline StepResult step_clockwise(const ChurnKernelCtx<Id>& c, NodeSlot cur,
                                  std::uint64_t target_id) {
   const auto distance = static_cast<Id>((target_id - cur_id) & c.key_mask);
   const int m = c.row_width + c.s;
+  const std::uint32_t row = word_row(c.rows[cur]);
   Id progress[kMaxCandidates];
-  ring_progress(c, cur, cur_id, progress);
+  ring_progress(c, row, cur_id, progress);
   for (;;) {
     const int bj = best_candidate(progress, m, distance);
     if (bj < 0) {
       return {};
     }
     const bool in_row = bj < c.row_width;
-    const std::uint64_t off = candidate_offset(c, cur, bj);
+    const std::uint64_t off = candidate_offset(c, row, bj);
     const std::uint64_t link =
         in_row ? c.table_links[off] : c.successor_links[off];
     if (ctx_link_valid(c, link)) {
@@ -256,8 +291,7 @@ template <typename Id>
 inline StepResult step_xor(const ChurnKernelCtx<Id>& c, NodeSlot cur,
                            std::uint64_t cur_id, std::uint64_t target_id) {
   const std::uint64_t cur_distance = cur_id ^ target_id;
-  const std::uint64_t row_base =
-      cur * static_cast<std::uint64_t>(c.row_width);
+  const std::uint64_t row_base = ctx_table_base(c, cur);
   const int d = c.row_width / c.bucket_k;
   std::uint64_t diff = cur_distance;
   while (diff != 0) {
@@ -276,7 +310,7 @@ inline StepResult step_xor(const ChurnKernelCtx<Id>& c, NodeSlot cur,
     }
     diff &= ~(std::uint64_t{1} << (bw - 1));
   }
-  const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
+  const std::uint64_t succ_base = ctx_successor_base(c, cur);
   for (int t = 0; t < c.s; ++t) {
     const std::uint64_t j = succ_base + static_cast<std::uint64_t>(t);
     const std::uint64_t eid = c.successors_id[j];
@@ -362,19 +396,21 @@ inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
   Id progress[kLanes][kMaxCandidates];
   Id dist[kLanes];
   int cand[kLanes];
+  std::uint32_t row[kLanes];
   const int m = c.row_width + c.s;
   for (int l = 0; l < kLanes; ++l) {
     if (b.active[l] == 0) {
       continue;
     }
     dist[l] = static_cast<Id>((b.target_id[l] - b.dist[l]) & c.key_mask);
-    ring_progress(c, b.cur[l], b.dist[l], progress[l]);
+    row[l] = word_row(c.rows[b.cur[l]]);
+    ring_progress(c, row[l], b.dist[l], progress[l]);
     const int bj = best_candidate(progress[l], m, dist[l]);
     cand[l] = bj;
     if (bj >= 0) {
       // Warm the candidate's link word for phase B while the other lanes'
       // scans provide latency cover.
-      const std::uint64_t off = candidate_offset(c, b.cur[l], bj);
+      const std::uint64_t off = candidate_offset(c, row[l], bj);
       __builtin_prefetch(bj < c.row_width ? &c.table_links[off]
                                           : &c.successor_links[off]);
     }
@@ -390,7 +426,7 @@ inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
         break;
       }
       const bool in_row = bj < c.row_width;
-      const std::uint64_t off = candidate_offset(c, b.cur[l], bj);
+      const std::uint64_t off = candidate_offset(c, row[l], bj);
       const std::uint64_t link =
           in_row ? c.table_links[off] : c.successor_links[off];
       if (ctx_link_valid(c, link)) {
@@ -428,8 +464,7 @@ inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
     }
     const std::uint64_t target = b.target_id[l];
     const std::uint64_t cur_distance = b.dist[l] ^ target;
-    const std::uint64_t row_base =
-        b.cur[l] * static_cast<std::uint64_t>(c.row_width);
+    const std::uint64_t row_base = ctx_table_base(c, b.cur[l]);
     const int d = c.row_width / c.bucket_k;
     std::uint64_t diff = cur_distance;
     std::uint64_t found = kNoCand;
@@ -449,8 +484,7 @@ inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
       diff &= ~(std::uint64_t{1} << (bw - 1));
     }
     if (found == kNoCand) {
-      const std::uint64_t succ_base =
-          b.cur[l] * static_cast<std::uint64_t>(c.s);
+      const std::uint64_t succ_base = ctx_successor_base(c, b.cur[l]);
       for (int t = 0; t < c.s; ++t) {
         const std::uint64_t j = succ_base + static_cast<std::uint64_t>(t);
         if ((c.successors_id[j] ^ target) < cur_distance) {
@@ -695,30 +729,34 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
   membership_.join(joiners_, id_rng_);
   membership_.commit();
   total_joins_ += joiners_.size();
+  // Rows are reserved for a full roster and grown one row at a time as
+  // rows are first taken, so only the rows nodes have held are ever
+  // touched, and the row arrays never move (the in-flight kernels' ctx
+  // pointers rely on it).
+  row_of_.assign(capacity, kNoRow);  // generation 0, no row
+  holder_.reserve(capacity);
   const std::uint64_t row_cells =
       capacity * static_cast<std::uint64_t>(row_width_);
-  const std::uint64_t succ_cells =
-      capacity * static_cast<std::uint64_t>(config_.successors);
-  table_.assign(row_cells, kEmptyLink, narrow_ids());
-  refreshed_at_.assign(row_cells, 0);
-  // INT32_MIN = "possibly due immediately": rows earn a real bound at
-  // their first full maintenance scan.
-  table_due_round_.assign(capacity, std::numeric_limits<std::int32_t>::min());
-  successors_.assign(succ_cells, kEmptyLink, narrow_ids());
-  successors_refreshed_at_.assign(capacity, 0);
+  table_.reserve(row_cells, narrow_ids());
+  refreshed_at_.reserve(row_cells);
+  table_due_round_.reserve(capacity);
+  successors_.reserve(capacity * static_cast<std::uint64_t>(config_.successors),
+                      narrow_ids());
+  successors_refreshed_at_.reserve(capacity);
+  for_each_alive(membership_, [&](NodeSlot slot) { take_row(slot); });
   for_each_alive(membership_, [&](NodeSlot slot) { rebuild_node(slot); });
   // Stagger refresh phases so entry ages start uniform over 0..R-1,
   // matching the q_eff derivation (and the dense world's construction).
   const auto interval =
       static_cast<std::uint64_t>(params_.refresh_interval);
   for_each_alive(membership_, [&](NodeSlot slot) {
+    const std::uint64_t base = table_base(slot);
     for (int j = 0; j < row_width_; ++j) {
-      refreshed_at_[slot * static_cast<std::uint64_t>(row_width_) +
-                    static_cast<std::uint64_t>(j)] =
+      refreshed_at_[base + static_cast<std::uint64_t>(j)] =
           -static_cast<std::int32_t>(table_rng_.uniform_below(interval));
     }
     if (config_.successors > 0) {
-      successors_refreshed_at_[slot] =
+      successors_refreshed_at_[row_of(slot)] =
           -static_cast<std::int32_t>(table_rng_.uniform_below(interval));
     }
   });
@@ -726,27 +764,84 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
   // from one recount; the build's installs are not maintenance work.
   entry_stamp_sum_ = 0;
   for_each_alive(membership_, [&](NodeSlot slot) {
-    entry_stamp_sum_ += row_stamp_sum(slot);
+    entry_stamp_sum_ += row_stamp_sum(row_of(slot));
   });
   maintenance_ = MaintenanceCounters{};
 }
 
-void SparseChurnWorld::EntryRows::assign(std::uint64_t entries,
-                                         std::uint64_t link, bool narrow) {
-  links.assign(entries, link);
-  ids32.assign(narrow ? entries : 0, 0);
-  ids64.assign(narrow ? 0 : entries, 0);
+void SparseChurnWorld::EntryRows::reserve(std::uint64_t entries,
+                                          bool narrow_ids) {
+  narrow = narrow_ids;
+  links.reserve(entries);
+  if (narrow) {
+    ids32.reserve(entries);
+  } else {
+    ids64.reserve(entries);
+  }
+}
+
+void SparseChurnWorld::EntryRows::resize(std::uint64_t entries) {
+  links.resize(entries, kEmptyLink);
+  if (narrow) {
+    ids32.resize(entries);
+  } else {
+    ids64.resize(entries);
+  }
+}
+
+void SparseChurnWorld::take_row(NodeSlot slot) {
+  std::uint32_t row;
+  if (!free_rows_.empty()) {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+  } else {
+    // Every taken row is rebuilt whole before anything reads it, so the
+    // fresh cells' initial values never matter.  INT32_MIN = "possibly
+    // due immediately": a row earns a real bound at its first full scan.
+    row = static_cast<std::uint32_t>(rows_materialized_++);
+    const std::uint64_t rows = rows_materialized_;
+    holder_.resize(rows);
+    table_.resize(rows * static_cast<std::uint64_t>(row_width_));
+    refreshed_at_.resize(rows * static_cast<std::uint64_t>(row_width_));
+    table_due_round_.resize(rows, std::numeric_limits<std::int32_t>::min());
+    successors_.resize(rows * static_cast<std::uint64_t>(config_.successors));
+    successors_refreshed_at_.resize(rows);
+  }
+  holder_[row] = slot;
+  // Runs after the membership join, so the generation is the new one.
+  row_of_[slot] =
+      (static_cast<std::uint64_t>(membership_.generation(slot)) << 32) | row;
+}
+
+// The released rows go on the free list in reverse, so joiners -- taken in
+// slot order -- get the leavers' rows in slot order too: a row's holders
+// keep nearby slots, and the slot-order maintenance pass keeps walking
+// the pool roughly in row order.
+void SparseChurnWorld::release_rows() {
+  // The released rows are cold: prefetch a few rows ahead so their stamp
+  // streams overlap instead of missing one row at a time.
+  constexpr std::size_t kAhead = 8;
+  const std::size_t n = released_rows_.size();
+  const int row_bytes = row_width_ * static_cast<int>(sizeof(std::int32_t));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) {
+      const auto* ahead = reinterpret_cast<const char*>(
+          refreshed_at_.data() +
+          static_cast<std::uint64_t>(released_rows_[i + kAhead]) *
+              static_cast<std::uint64_t>(row_width_));
+      for (int off = 0; off < row_bytes; off += 64) {
+        __builtin_prefetch(ahead + off);
+      }
+    }
+    entry_stamp_sum_ -= row_stamp_sum(released_rows_[i]);
+  }
+  free_rows_.insert(free_rows_.end(), released_rows_.rbegin(),
+                    released_rows_.rend());
+  released_rows_.clear();
 }
 
 bool SparseChurnWorld::entry_valid(std::uint64_t link) const {
-  // Probe the packed alive bitmap rather than the byte mask: the bitmap
-  // for a full-sized roster is 16 KiB (L1-resident under the maintenance
-  // sweeps' random slot access), the byte mask 64x that.
-  const NodeSlot entry = link_slot(link);
-  return entry != kNoSlot &&
-         (membership_.alive_bits_data()[entry >> 6] >> (entry & 63) & 1) !=
-             0 &&
-         membership_.generation(entry) == link_generation(link);
+  return link_valid(row_of_.data(), link);
 }
 
 std::uint64_t SparseChurnWorld::link_to(NodeSlot target) const {
@@ -771,22 +866,25 @@ void SparseChurnWorld::install_cell(std::uint64_t offset, std::uint64_t link,
   put_cell(offset, link, id, stamp);
 }
 
-std::int64_t SparseChurnWorld::row_stamp_sum(NodeSlot slot) const {
-  const std::int32_t* row =
-      refreshed_at_.data() + slot * static_cast<std::uint64_t>(row_width_);
+std::int64_t SparseChurnWorld::row_stamp_sum(std::uint32_t row) const {
+  const std::int32_t* stamps =
+      refreshed_at_.data() + row * static_cast<std::uint64_t>(row_width_);
   std::int64_t sum = 0;
   for (int j = 0; j < row_width_; ++j) {
-    sum += row[j];
+    sum += stamps[j];
   }
   return sum;
 }
 
-// Every departure goes through here, so the stamp sum drops the row the
-// moment its owner stops counting as present.
+// Every departure goes through here.  The row leaves the stamp sum in the
+// next release_rows() batch, which runs before any row is handed out and
+// before the round ends.
 void SparseChurnWorld::leave_slot(NodeSlot slot) {
   membership_.leave(slot);
   ++total_leaves_;
-  entry_stamp_sum_ -= row_stamp_sum(slot);
+  released_rows_.push_back(row_of(slot));
+  holder_[row_of(slot)] = kNoSlot;
+  row_of_[slot] |= kNoRow;  // keeps the generation
 }
 
 NodeSlot SparseChurnWorld::choose_target(NodeSlot slot, int index) {
@@ -851,8 +949,7 @@ std::uint64_t SparseChurnWorld::cached_id(NodeSlot owner,
 
 void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
   const NodeSlot chosen = choose_target(slot, index);
-  install_cell(slot * static_cast<std::uint64_t>(row_width_) +
-                   static_cast<std::uint64_t>(index),
+  install_cell(table_base(slot) + static_cast<std::uint64_t>(index),
                link_to(chosen), cached_id(slot, chosen),
                static_cast<std::int32_t>(round_));
 }
@@ -864,7 +961,7 @@ void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
 // until here, and a present row's caller takes its old stamps out first.
 void SparseChurnWorld::rebuild_tables(NodeSlot slot) {
   ++maintenance_.rows_rebuilt;
-  const std::uint64_t base = slot * static_cast<std::uint64_t>(row_width_);
+  const std::uint64_t base = table_base(slot);
   const auto stamp = static_cast<std::int32_t>(round_);
   if (geometry_ == SparseChurnGeometry::kChord) {
     // Bulk finger rebuild -- the join-storm path (every joiner re-derives
@@ -895,7 +992,7 @@ void SparseChurnWorld::rebuild_successors(NodeSlot slot,
                                           std::uint64_t from_position) {
   ++maintenance_.successor_rebuilds;
   const int s = config_.successors;
-  const std::uint64_t base = slot * static_cast<std::uint64_t>(s);
+  const std::uint64_t base = successor_base(slot);
   for (int t = 0; t < s; ++t) {
     const NodeSlot succ = membership_.ring_successor(
         from_position, static_cast<std::uint64_t>(t));
@@ -906,7 +1003,7 @@ void SparseChurnWorld::rebuild_successors(NodeSlot slot,
                     make_link(succ, membership_.generation(succ)),
                     membership_.id_of(succ));
   }
-  successors_refreshed_at_[slot] = static_cast<std::int32_t>(round_);
+  successors_refreshed_at_[row_of(slot)] = static_cast<std::int32_t>(round_);
 }
 
 void SparseChurnWorld::rebuild_node(NodeSlot slot) {
@@ -958,9 +1055,8 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
         // contacts ignores the announcement (classic Kademlia keeps its
         // long-lived members).
         const std::uint64_t bucket_base =
-            peer * static_cast<std::uint64_t>(row_width_) +
-            static_cast<std::uint64_t>(level - 1) *
-                static_cast<std::uint64_t>(k);
+            table_base(peer) + static_cast<std::uint64_t>(level - 1) *
+                                   static_cast<std::uint64_t>(k);
         for (int cell = 0; cell < k; ++cell) {
           const std::uint64_t offset =
               bucket_base + static_cast<std::uint64_t>(cell);
@@ -976,44 +1072,60 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
   }
 }
 
-void SparseChurnWorld::maintain_successors(NodeSlot slot) {
+// A list is broken when an entry points back at its owner or fails the
+// validity probe.  Reads only the list and the membership.
+SparseChurnWorld::SuccessorPlan SparseChurnWorld::plan_successors(
+    NodeSlot slot, std::uint32_t row) const {
   const int s = config_.successors;
+  SuccessorPlan plan;
   if (s == 0) {
-    return;
+    return plan;
   }
-  const std::uint64_t base = slot * static_cast<std::uint64_t>(s);
+  const std::uint64_t base = row * static_cast<std::uint64_t>(s);
   bool broken = false;
-  NodeSlot first_alive = kNoSlot;
   for (int t = 0; t < s; ++t) {
     const std::uint64_t link =
         successors_.links[base + static_cast<std::uint64_t>(t)];
     if (link_slot(link) == slot || !entry_valid(link)) {
       broken = true;
-    } else if (first_alive == kNoSlot) {
-      first_alive = link_slot(link);
+    } else if (plan.first_alive == kNoSlot) {
+      plan.first_alive = link_slot(link);
     }
   }
   if (broken) {
-    if (first_alive != kNoSlot) {
+    plan.kind = plan.first_alive != kNoSlot ? SuccessorPlan::kRepair
+                                            : SuccessorPlan::kRebuildNode;
+  } else if (round_ - successors_refreshed_at_[row] >=
+             params_.refresh_interval) {
+    plan.kind = SuccessorPlan::kRefresh;
+  }
+  return plan;
+}
+
+bool SparseChurnWorld::apply_successors(NodeSlot slot, SuccessorPlan plan) {
+  switch (plan.kind) {
+    case SuccessorPlan::kKeep:
+      break;
+    case SuccessorPlan::kRefresh:
+      rebuild_successors(
+          slot, membership_.successor_position(membership_.id_of(slot)) + 1);
+      break;
+    case SuccessorPlan::kRepair:
       // Consult the list: the first alive entry seeds the repaired list
       // (its current clockwise chain).  Joiners between this node and that
       // entry are picked up by the next scheduled rebuild -- the
       // stabilization lag of real successor lists.
-      rebuild_successors(
-          slot,
-          membership_.successor_position(membership_.id_of(first_alive)));
-    } else {
+      rebuild_successors(slot, membership_.successor_position(
+                                   membership_.id_of(plan.first_alive)));
+      break;
+    case SuccessorPlan::kRebuildNode:
       // Every sequential neighbor is gone: fall back to a full rebuild
       // (tables included), the re-join-like recovery path.
-      entry_stamp_sum_ -= row_stamp_sum(slot);
+      entry_stamp_sum_ -= row_stamp_sum(row_of(slot));
       rebuild_node(slot);
-    }
-  } else if (round_ - successors_refreshed_at_[slot] >=
-             params_.refresh_interval) {
-    const std::uint64_t own =
-        membership_.successor_position(membership_.id_of(slot));
-    rebuild_successors(slot, own + 1);
+      return true;
   }
+  return false;
 }
 
 // Entry maintenance for the single-contact row geometries (Chord fingers,
@@ -1033,7 +1145,8 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
     // sweep.  The bound is conservative: stamps only move forward between
     // scans (refreshes and announcements re-stamp with the current
     // round), so a skipped row provably has nothing due.
-    if (round_ < table_due_round_[slot]) {
+    const std::uint32_t row = row_of(slot);
+    if (round_ < table_due_round_[row]) {
       return;
     }
     // Two passes so the common case -- scanning a row with nothing or
@@ -1044,9 +1157,7 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
     // post-scan minimum is min(surviving stamps, round_), and round_ only
     // enters when something was refreshed -- surviving stamps never
     // exceed it.
-    const std::uint64_t row_base =
-        slot * static_cast<std::uint64_t>(row_width_);
-    const std::int32_t* stamps = refreshed_at_.data() + row_base;
+    const std::int32_t* stamps = refreshed_at_.data() + table_base(slot);
     const std::int32_t due_at =
         static_cast<std::int32_t>(round_) -
         static_cast<std::int32_t>(params_.refresh_interval);
@@ -1067,27 +1178,51 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
       } while (due != 0);
       min_stamp = std::min(min_live, static_cast<std::int32_t>(round_));
     }
-    table_due_round_[slot] =
+    table_due_round_[row] =
         min_stamp + static_cast<std::int32_t>(params_.refresh_interval);
     return;
   }
-  maintenance_.entries_examined += static_cast<std::uint64_t>(row_width_);
+  repair_row(slot, row_masks(row_of(slot)));
+}
+
+// Observed-dead covers departed targets AND recycled slots (the node at
+// that address is a different one now) -- both are generation mismatches.
+// A due cell is refreshed whatever its state, so it is never also dead.
+SparseChurnWorld::RowMasks SparseChurnWorld::row_masks(
+    std::uint32_t row) const {
+  const std::uint64_t base =
+      row * static_cast<std::uint64_t>(row_width_);
+  const std::int32_t* stamps = refreshed_at_.data() + base;
+  const std::uint64_t* links = table_.links.data() + base;
+  const std::int32_t due_at =
+      static_cast<std::int32_t>(round_) -
+      static_cast<std::int32_t>(params_.refresh_interval);
+  // Branch-free: about one cell in twelve is dead, too many to predict.
+  // An empty cell probes slot 0's word and is masked out.
+  RowMasks masks;
   for (int j = 0; j < row_width_; ++j) {
-    const std::uint64_t offset =
-        slot * static_cast<std::uint64_t>(row_width_) +
-        static_cast<std::uint64_t>(j);
-    if (round_ - refreshed_at_[offset] >= params_.refresh_interval) {
-      ++maintenance_.due_refreshes;
+    const std::uint64_t link = links[j];
+    const NodeSlot entry = link_slot(link);
+    const bool empty = entry == kNoSlot;
+    const std::uint64_t word = row_of_[empty ? 0 : entry];
+    const bool valid =
+        (word >> 32) == (link >> 32) && word_row(word) != kNoRow;
+    const bool due = stamps[j] <= due_at;
+    masks.due |= static_cast<std::uint64_t>(due) << j;
+    masks.dead |= static_cast<std::uint64_t>(!due && !empty && !valid) << j;
+  }
+  return masks;
+}
+
+void SparseChurnWorld::repair_row(NodeSlot slot, RowMasks masks) {
+  maintenance_.entries_examined += static_cast<std::uint64_t>(row_width_);
+  maintenance_.due_refreshes +=
+      static_cast<std::uint64_t>(std::popcount(masks.due));
+  for (std::uint64_t todo = masks.due | masks.dead; todo != 0;
+       todo &= todo - 1) {
+    const int j = std::countr_zero(todo);
+    if ((masks.due >> j & 1) != 0 || repair_draw()) {
       refresh_entry(slot, j);
-    } else {
-      // Observed-dead covers departed targets AND recycled slots (the
-      // node at that address is a different one now) -- both are
-      // generation mismatches.
-      const std::uint64_t link = table_.links[offset];
-      if (link_slot(link) != kNoSlot && !entry_valid(link) &&
-          repair_draw()) {
-        refresh_entry(slot, j);
-      }
     }
   }
 }
@@ -1108,14 +1243,14 @@ bool SparseChurnWorld::repair_draw() {
 // the pre-k rng stream and tables are reproduced bit for bit.
 void SparseChurnWorld::maintain_kademlia_buckets(NodeSlot slot) {
   const int k = config_.bucket_k;
-  const std::uint64_t row_base =
-      slot * static_cast<std::uint64_t>(row_width_);
+  const std::uint32_t row = row_of(slot);
+  const std::uint64_t row_base = table_base(slot);
   // rho == 0: the scan is rng-free, so the due-round bound applies
   // exactly as in maintain_entries (evictions -- which shift stamps
   // mid-scan -- exist only on the rho > 0 branch, where the bound is
   // never consulted or maintained).
   const bool lazy_only = repair_probability_ == 0.0;
-  if (lazy_only && round_ < table_due_round_[slot]) {
+  if (lazy_only && round_ < table_due_round_[row]) {
     return;
   }
   if (!lazy_only) {
@@ -1150,7 +1285,7 @@ void SparseChurnWorld::maintain_kademlia_buckets(NodeSlot slot) {
     }
   }
   if (lazy_only) {
-    table_due_round_[slot] =
+    table_due_round_[row] =
         min_stamp + static_cast<std::int32_t>(params_.refresh_interval);
   }
 }
@@ -1171,6 +1306,7 @@ void SparseChurnWorld::integrate_joiners(bool commit_always) {
   // per-lookup boundary commits skip the rebuild -- their delta is a
   // handful of slots and the next boundary is one lookup away -- at the
   // price of full-range (pre-accelerator) searches in between.
+  release_rows();
   if (joiners_.empty()) {
     if (commit_always) {
       membership_.commit(/*refresh_seek=*/true);
@@ -1182,6 +1318,7 @@ void SparseChurnWorld::integrate_joiners(bool commit_always) {
   total_joins_ += joiners_.size();
   for (const NodeSlot slot : joiners_) {
     joined_at_[slot] = round_;
+    take_row(slot);
   }
   for (const NodeSlot slot : joiners_) {
     rebuild_node(slot);
@@ -1247,6 +1384,7 @@ void SparseChurnWorld::step() {
       joiners_.push_back(slot);
     }
   }
+  release_rows();
   lifecycle_timer.stop();
   {
     obs::PhaseTimer commit_timer(profile_, obs::Phase::kMembershipCommit,
@@ -1259,10 +1397,63 @@ void SparseChurnWorld::step() {
   // full-capacity presence scan) and rows that provably have nothing due
   // are skipped inside maintain_entries.
   obs::PhaseTimer refresh_timer(profile_, obs::Phase::kRefreshRepair, trace_);
+  if (repair_probability_ == 0.0 ||
+      geometry_ == SparseChurnGeometry::kKademlia) {
+    for_each_alive(membership_, [&](NodeSlot slot) {
+      maintain_successors(slot);
+      maintain_entries(slot);
+    });
+    return;
+  }
+  // Chord / Symphony eager repair.  Slot order jumps around the pool, so
+  // one pass in row order first plans every present node's round -- its
+  // successor-list action and its table row's masks -- into a slot-indexed
+  // array that the slot-order visits then read in sequence.  Membership
+  // is fixed during maintenance and a visit writes only its own node's
+  // rows, so each plan is what the node's visit would find -- except the
+  // masks of a row its successor-list collapse has just rebuilt, which
+  // are taken afresh.
+  plans_.resize(membership_.capacity());
+  for (std::uint64_t row = 0; row < rows_materialized_; ++row) {
+    const NodeSlot holder = holder_[row];
+    if (holder != kNoSlot) {
+      const auto r = static_cast<std::uint32_t>(row);
+      plans_[holder] = {row_masks(r), plan_successors(holder, r)};
+    }
+  }
+  // The visits write cells the pass read long ago, so each node's cells to
+  // refresh are warmed kLead visits ahead of its visit.
+  constexpr std::size_t kLead = 8;
+  NodeSlot ahead[kLead];
+  std::size_t seen = 0;
+  const auto visit = [&](NodeSlot slot) {
+    const SlotPlan& plan = plans_[slot];
+    const bool rebuilt = apply_successors(slot, plan.successors);
+    repair_row(slot, rebuilt ? row_masks(row_of(slot)) : plan.masks);
+  };
   for_each_alive(membership_, [&](NodeSlot slot) {
-    maintain_successors(slot);
-    maintain_entries(slot);
+    const RowMasks& masks = plans_[slot].masks;
+    const std::uint64_t base = table_base(slot);
+    for (std::uint64_t todo = masks.due | masks.dead; todo != 0;
+         todo &= todo - 1) {
+      const std::uint64_t offset =
+          base + static_cast<std::uint64_t>(std::countr_zero(todo));
+      __builtin_prefetch(&table_.links[offset], 1);
+      __builtin_prefetch(&refreshed_at_[offset], 1);
+      __builtin_prefetch(table_.narrow ? static_cast<const void*>(
+                                             &table_.ids32[offset])
+                                       : &table_.ids64[offset],
+                         1);
+    }
+    if (seen >= kLead) {
+      visit(ahead[seen % kLead]);
+    }
+    ahead[seen % kLead] = slot;
+    ++seen;
   });
+  for (std::size_t i = seen > kLead ? seen - kLead : 0; i < seen; ++i) {
+    visit(ahead[i % kLead]);
+  }
 }
 
 template <typename Id>
@@ -1276,8 +1467,7 @@ ChurnKernelCtx<Id> SparseChurnWorld::kernel_ctx() const {
   };
   ChurnKernelCtx<Id> ctx;
   ctx.ids = membership_.id_data();
-  ctx.alive_bits = membership_.alive_bits_data();
-  ctx.generations = membership_.generation_data();
+  ctx.rows = row_of_.data();
   ctx.table_links = table_.links.data();
   ctx.table_id = id_data(table_);
   ctx.successor_links = successors_.links.data();
@@ -1432,8 +1622,7 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx<Id>& ctx,
     // table row (rank = cell index) or its successor list (rank = -1);
     // match on slot + cached id so a recycled slot in another cell can't
     // alias the pick.
-    const std::uint64_t row_base =
-        cur * static_cast<std::uint64_t>(ctx.row_width);
+    const std::uint64_t row_base = ctx_table_base(ctx, cur);
     for (int j = 0; j < ctx.row_width; ++j) {
       const std::uint64_t off = row_base + static_cast<std::uint64_t>(j);
       const std::uint64_t link = ctx.table_links[off];
@@ -1445,8 +1634,7 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx<Id>& ctx,
       }
     }
     if (hop.rank < 0) {
-      const std::uint64_t succ_base =
-          cur * static_cast<std::uint64_t>(ctx.s);
+      const std::uint64_t succ_base = ctx_successor_base(ctx, cur);
       for (int t = 0; t < ctx.s; ++t) {
         const std::uint64_t off = succ_base + static_cast<std::uint64_t>(t);
         const std::uint64_t link = ctx.successor_links[off];
@@ -1664,8 +1852,9 @@ sparse::SparseEstimate SparseChurnWorld::measure_inflight_with(
   }
   sparse::SparseEstimate estimate;
   // The ctx pointers stay valid while the world moves: the per-slot
-  // arrays never resize, and membership mutations (leave / join) update
-  // the packed epoch structure in place.  Ids can change only on rejoin,
+  // arrays never resize, the row arrays grow only inside the full roster
+  // they reserved, and membership mutations (leave / join) update the
+  // packed epoch structure and the slot-to-row map in place.  Ids can change only on rejoin,
   // which happens at lookup boundaries -- never mid-route -- so the
   // cached-id kernels' carried identifiers cannot go stale in flight.
   const ChurnKernelCtx<Id> ctx = kernel_ctx<Id>();
@@ -1793,8 +1982,9 @@ double SparseChurnWorld::mean_entry_age() const {
 
 double SparseChurnWorld::mean_entry_age_recount() const {
   std::int64_t stamps = 0;
-  for_each_alive(membership_,
-                 [&](NodeSlot slot) { stamps += row_stamp_sum(slot); });
+  for_each_alive(membership_, [&](NodeSlot slot) {
+    stamps += row_stamp_sum(row_of(slot));
+  });
   return mean_age(stamps,
                   membership_.population() *
                       static_cast<std::uint64_t>(row_width_),
@@ -1805,7 +1995,9 @@ std::uint64_t SparseChurnWorld::row_bytes() const noexcept {
   return table_.bytes() + successors_.bytes() +
          (refreshed_at_.size() + table_due_round_.size() +
           successors_refreshed_at_.size()) *
-             sizeof(std::int32_t);
+             sizeof(std::int32_t) +
+         holder_.size() * sizeof(NodeSlot) +
+         row_of_.size() * sizeof(std::uint64_t);
 }
 
 SparseChurnResult run_sparse_churn_trajectory(

@@ -267,9 +267,21 @@ class SparseChurnWorld {
     return maintenance_;
   }
 
-  /// Bytes of the row state: table links, cached ids and stamps, the
-  /// per-row due bounds, and the successor lists with their stamps.
+  /// Bytes of the row state: per materialized row, the table links,
+  /// cached ids and stamps, the due bound, the successor list with its
+  /// stamp, and the slot holding the row; per roster slot, its row word.
   std::uint64_t row_bytes() const noexcept;
+
+  /// Rows held by present nodes (always population()).
+  std::uint64_t rows_in_use() const noexcept {
+    return rows_materialized_ - free_rows_.size() - released_rows_.size();
+  }
+  /// Rows ever handed out: the high-water of rows held at once.  Freed
+  /// rows are reused before a fresh one is taken, so in round-synchronous
+  /// mode this is the largest population the world has had.
+  std::uint64_t rows_materialized() const noexcept {
+    return rows_materialized_;
+  }
 
   const SparseMembership& membership() const noexcept { return membership_; }
 
@@ -310,6 +322,24 @@ class SparseChurnWorld {
   }
   // Rows cache target ids in 32 bits whenever the key space fits.
   bool narrow_ids() const noexcept { return config_.bits <= 32; }
+  // A present slot's pool row, and the offsets of its table row and
+  // successor list.
+  std::uint32_t row_of(NodeSlot slot) const noexcept {
+    return static_cast<std::uint32_t>(row_of_[slot]);
+  }
+  std::uint64_t table_base(NodeSlot slot) const noexcept {
+    return static_cast<std::uint64_t>(row_of(slot)) *
+           static_cast<std::uint64_t>(row_width_);
+  }
+  std::uint64_t successor_base(NodeSlot slot) const noexcept {
+    return static_cast<std::uint64_t>(row_of(slot)) *
+           static_cast<std::uint64_t>(config_.successors);
+  }
+  // Hands `slot` a row: the most recently freed one, else a fresh one.
+  void take_row(NodeSlot slot);
+  // Takes the released rows' stamps out of the stamp sum in one prefetched
+  // pass and puts the rows on the free list.  Runs before any row is taken.
+  void release_rows();
   bool entry_valid(std::uint64_t link) const;
   std::uint64_t link_to(NodeSlot target) const;
   template <typename Id>
@@ -339,9 +369,9 @@ class SparseChurnWorld {
                 std::int32_t stamp);
   void install_cell(std::uint64_t offset, std::uint64_t link,
                     std::uint64_t id, std::int32_t stamp);
-  // Streams the row's stamps (the build's seed, a leaving or rebuilt
-  // present row, and the recount oracle).
-  std::int64_t row_stamp_sum(NodeSlot slot) const;
+  // Streams one row's stamps (the build's seed, a released or rebuilt
+  // row, and the recount oracle).
+  std::int64_t row_stamp_sum(std::uint32_t row) const;
   // The geometry's pick for table cell `index` of `slot` against the
   // current membership (kNoSlot when nothing qualifies).
   NodeSlot choose_target(NodeSlot slot, int index);
@@ -351,9 +381,35 @@ class SparseChurnWorld {
   void announce_join(NodeSlot slot);
   void rebuild_tables(NodeSlot slot);
   void rebuild_successors(NodeSlot slot, std::uint64_t from_position);
-  void maintain_successors(NodeSlot slot);
+  // Successor-list maintenance, split into what the list calls for and
+  // doing it: keep it, refresh it when due, repair it from its first
+  // alive entry, or -- every entry dead -- rebuild the whole node.
+  struct SuccessorPlan {
+    enum Kind : std::uint8_t { kKeep, kRefresh, kRepair, kRebuildNode };
+    Kind kind = kKeep;
+    NodeSlot first_alive = kNoSlot;  // kRepair's seed entry
+  };
+  SuccessorPlan plan_successors(NodeSlot slot, std::uint32_t row) const;
+  // Returns true when it rebuilt the whole node (table row included).
+  bool apply_successors(NodeSlot slot, SuccessorPlan plan);
+  bool maintain_successors(NodeSlot slot) {
+    return apply_successors(slot, plan_successors(slot, row_of(slot)));
+  }
   void maintain_entries(NodeSlot slot);
   void maintain_kademlia_buckets(NodeSlot slot);
+  // Eager repair of one Chord / Symphony row (rho > 0): the row's due
+  // cells and its observed-dead cells (not due, non-empty, failing the
+  // validity probe), one bit per cell.  Maintenance of other rows never
+  // writes this row, so masks taken before the round's pass equal the
+  // ones its per-entry walk would see.
+  struct RowMasks {
+    std::uint64_t due = 0;
+    std::uint64_t dead = 0;
+  };
+  RowMasks row_masks(std::uint32_t row) const;
+  // Refreshes the due cells and draws a repair for each dead cell, in
+  // ascending cell order.
+  void repair_row(NodeSlot slot, RowMasks masks);
   // The rho channel's Bernoulli draw on an entry observed dead, counted.
   bool repair_draw();
   void rebuild_node(NodeSlot slot);
@@ -380,20 +436,23 @@ class SparseChurnWorld {
   // the row owner's own id: zero clockwise progress / XOR distance equal
   // to the owner's, inadmissible in both metrics, so they fall out
   // arithmetically.  The ids take 4 B when bits <= 32 (ids32) and 8 B
-  // above (ids64); exactly one of the two is sized.  An entry is thus
-  // 12 B, or 16 B with a wide id.
+  // above (ids64); exactly one of the two is used.  An entry is thus 12 B,
+  // or 16 B with a wide id.  Both vectors are reserved for a full roster
+  // and only ever grow inside it, so data() never moves.
   struct EntryRows {
     std::vector<std::uint64_t> links;
     std::vector<std::uint32_t> ids32;
     std::vector<std::uint64_t> ids64;
+    bool narrow = true;
 
-    void assign(std::uint64_t entries, std::uint64_t link, bool narrow);
+    void reserve(std::uint64_t entries, bool narrow_ids);
+    void resize(std::uint64_t entries);
     std::uint64_t id(std::uint64_t offset) const {
-      return ids64.empty() ? ids32[offset] : ids64[offset];
+      return narrow ? ids32[offset] : ids64[offset];
     }
     void put(std::uint64_t offset, std::uint64_t link, std::uint64_t id) {
       links[offset] = link;
-      if (ids64.empty()) {
+      if (narrow) {
         ids32[offset] = static_cast<std::uint32_t>(id);
       } else {
         ids64[offset] = id;
@@ -425,29 +484,55 @@ class SparseChurnWorld {
   // the departure hazard depends on this age (negative stamps encode the
   // stationary ages the world is initialized with).
   std::vector<std::int64_t> joined_at_;
-  // Row-major [slot][index] table entries (links + cached ids) and the
+  // The row pool.  Only present nodes hold rows: row_of_ maps each slot
+  // to its row, and an absent slot maps to kNoRow (all ones), so a stray
+  // read of a departed node's row faults instead of landing in another
+  // node's row.  Each slot's word is (generation << 32) | row, the
+  // occupancy generation beside the row like the link words' generation
+  // beside the slot, so one load both validates an entry and finds its
+  // target's row.  A leaver's row goes on released_rows_ until its stamps
+  // leave the stamp sum, then on the LIFO free list; a joiner takes the
+  // most recently freed row, or the next never-used one.  Rows in use
+  // thus stay below the population high-water, and the pages of rows no
+  // node has held are never touched.
+  std::vector<std::uint64_t> row_of_;
+  // The slot holding each row (kNoSlot while the row is free).
+  std::vector<NodeSlot> holder_;
+  std::vector<std::uint32_t> free_rows_;
+  std::vector<std::uint32_t> released_rows_;
+  std::uint64_t rows_materialized_ = 0;
+  // Row-major [row][index] table entries (links + cached ids) and the
   // round each entry was refreshed.  The stamps live apart because only
   // maintenance reads them.  At bits <= 32 a cell costs 16 B (8 link +
-  // 4 id + 4 stamp), 20 B above; a 2^17-slot Chord world at bits = 32
-  // (32 fingers per row) holds 64 MiB of table cells.
+  // 4 id + 4 stamp), 20 B above; a Chord world of 2^16 present nodes at
+  // bits = 32 (32 fingers per row) holds 32 MiB of table cells, whatever
+  // its roster size.
   EntryRows table_;
   std::vector<std::int32_t> refreshed_at_;
-  // Exact stamp sum over present slots' rows: install_cell adds a present
+  // Exact stamp sum over present nodes' rows: install_cell adds a present
   // row's stamp changes, a joiner's rebuild adds its whole row at the join
-  // round, and leave_slot streams the departing row's stamps out.
+  // round, and release_rows streams the leavers' rows out.
   // mean_entry_age() reads it in O(1).
   std::int64_t entry_stamp_sum_ = 0;
-  // Earliest round at which a slot's row can hold a due entry
-  // (min refreshed_at over the row + R, maintained conservatively: stamps
-  // only increase between scans).  Lets rho = 0 maintenance skip whole
-  // rows without touching them -- a skipped row consumes no rng, exactly
-  // like a scanned row with nothing due.
+  // Earliest round at which a row can hold a due entry (min refreshed_at
+  // over the row + R, maintained conservatively: stamps only increase
+  // between scans, and a reused row's stale bound is never later than its
+  // new holder's).  Lets rho = 0 maintenance skip whole rows without
+  // touching them -- a skipped row consumes no rng, exactly like a
+  // scanned row with nothing due.
   std::vector<std::int32_t> table_due_round_;
-  // Row-major [slot][0..s) successor lists (links + cached ids, same
-  // discipline as table_) + per-node refresh stamps.
+  // Row-major [row][0..s) successor lists (links + cached ids, same
+  // discipline as table_) + per-row refresh stamps.
   EntryRows successors_;
   std::vector<std::int32_t> successors_refreshed_at_;
   MaintenanceCounters maintenance_;
+  // Scratch for sync rho > 0 maintenance: each present node's plan, taken
+  // in one row-order pass before nodes are visited in slot order.
+  struct SlotPlan {
+    RowMasks masks;
+    SuccessorPlan successors;
+  };
+  std::vector<SlotPlan> plans_;
   // Scratch for step() (avoids per-round allocation).
   std::vector<NodeSlot> joiners_;
   // Sync-mode measurement scratch, reused across rounds: the up-front
@@ -495,7 +580,8 @@ struct SparseChurnResult {
   /// Maintenance work of all shard worlds (warm-up and measured rounds),
   /// merged in shard order.
   MaintenanceCounters maintenance;
-  /// Row bytes of one shard world (every shard has the same layout).
+  /// Row bytes of the largest shard world at the end of its trajectory
+  /// (a world holds rows only for the nodes it has had present at once).
   std::uint64_t row_bytes = 0;
   /// Per-node load digest of the measured routes: hottest slot across all
   /// shard worlds, and p99 / coefficient-of-variation averaged over shards

@@ -21,7 +21,9 @@ metrics, a different set on each call -- and asserts:
      median change and the verdict: gain / loss / unresolved, plus
      within_bound against the declared bound;
   7. --control adds the A-vs-A statistics;
-  8. a run reporting incorrect results stops the comparison, exit 1.
+  8. a run reporting incorrect results stops the comparison, exit 1;
+  9. a --pairs count that is not a multiple of the arm count (2, or 3
+     with --control) exits 2 before any run, naming the cause.
 
 Usage: check_perf_ab.py <repo-root>
 """
@@ -183,15 +185,19 @@ def write_checkout(directory, arm, correct=True):
     return root
 
 
-def run_bench_ab(repo_root, directory, control=False, correct_b=True):
+def run_bench_ab(repo_root, directory, control=False, correct_b=True,
+                 pairs=None):
     shutil.rmtree(directory)
     os.makedirs(directory)
     a = write_checkout(directory, "a")
     b = write_checkout(directory, "b", correct=correct_b)
+    if pairs is None:
+        pairs = 3 if control else 2
     proc = subprocess.run(
         [sys.executable, os.path.join(repo_root, "scripts", "perf_ab.py"),
          "--bench-a", a, "--bench-b", b, "--workload", "churn_sync_sweep",
-         "--seed", "7", "--pairs", "3"] + (["--control"] if control else []),
+         "--seed", "7", "--pairs", str(pairs)] +
+        (["--control"] if control else []),
         capture_output=True, text=True, check=False)
     return proc, a, b
 
@@ -207,12 +213,12 @@ def check_bench_mode(repo_root, directory, failures):
     if proc.returncode != 0:
         failures.append(f"bench mode: exit {proc.returncode}\n{proc.stderr}")
         return
-    for root, calls in ((a, 3), (b, 3)):
+    for root, calls in ((a, 2), (b, 2)):
         with open(os.path.join(root, "argv.log")) as fh:
             argv = fh.read().splitlines()
         expect(argv == ["--workload churn_sync_sweep --seed 7 --trace 0"] *
                calls, f"bench mode: {root} ran {argv!r}", failures)
-    expect(read_order(directory) == ["a", "b", "b", "a", "a", "b"],
+    expect(read_order(directory) == ["a", "b", "b", "a"],
            f"bench mode: run order {read_order(directory)!r}", failures)
     record = json.loads(proc.stdout)
     expect(record["a"] == a and record["b"] == b,
@@ -225,21 +231,21 @@ def check_bench_mode(repo_root, directory, failures):
            "bench mode: expected one series for seed 7", failures)
     metrics = series[0]["metrics"]
     rss = metrics["peak_rss_mb"]
-    expect(rss["a"]["values"] == [100.0, 102.0, 101.0] and
-           rss["b"]["values"] == [80.0, 81.0, 82.0],
+    expect(rss["a"]["values"] == [100.0, 102.0] and
+           rss["b"]["values"] == [80.0, 81.0],
            f"bench mode: peak_rss_mb values {rss['a']} {rss['b']}",
            failures)
     expect(rss["a"]["median"] == 101.0 and rss["a"]["iqr"] == 1.0,
            "bench mode: A's peak_rss_mb median/IQR", failures)
-    expect(rss["wins"] == 3 and rss["verdict"] == "gain" and
+    expect(rss["wins"] == 2 and rss["verdict"] == "gain" and
            rss["within_bound"], f"bench mode: peak_rss_mb {rss}", failures)
-    expect(abs(rss["median_change"] - (81.0 / 101.0 - 1.0)) < 1e-12,
+    expect(abs(rss["median_change"] - (80.5 / 101.0 - 1.0)) < 1e-12,
            "bench mode: peak_rss_mb median change", failures)
     routes = metrics["routes_per_s"]
     expect(routes["wins"] == 1 and routes["verdict"] == "unresolved",
            f"bench mode: routes_per_s {routes}", failures)
     wall = metrics["wall_s"]
-    expect(wall["losses"] == 3 and wall["verdict"] == "loss" and
+    expect(wall["losses"] == 2 and wall["verdict"] == "loss" and
            not wall["within_bound"], f"bench mode: wall_s {wall}", failures)
     expect("control" not in rss, "bench mode: control without --control",
            failures)
@@ -264,6 +270,15 @@ def check_bench_mode(repo_root, directory, failures):
     expect(proc.returncode == 1 and "FAIL" in proc.stderr,
            f"bench mode: incorrect run gave exit {proc.returncode}",
            failures)
+    # An unbalanced rotation is refused before any checkout runs.
+    for control, pairs in ((False, 3), (True, 4), (True, 10)):
+        proc, _, _ = run_bench_ab(repo_root, directory, control=control,
+                                  pairs=pairs)
+        expect(proc.returncode == 2 and "not a multiple of the arm count"
+               in proc.stderr and
+               not os.path.exists(os.path.join(directory, "order.log")),
+               f"bench mode: --pairs {pairs} control={control} gave exit "
+               f"{proc.returncode}: {proc.stderr}", failures)
     if shutil.which("git"):
         check_commit_label(repo_root, directory, failures)
 
@@ -283,7 +298,7 @@ def check_commit_label(repo_root, directory, failures):
                           text=True).stdout.strip()
     proc = subprocess.run(
         [sys.executable, os.path.join(repo_root, "scripts", "perf_ab.py"),
-         "--bench-a", a, "--bench-b", b, "--pairs", "1"],
+         "--bench-a", a, "--bench-b", b, "--pairs", "2"],
         capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         failures.append(f"commit label: exit {proc.returncode}")

@@ -9,6 +9,7 @@
 // at d' = log2 N.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -230,6 +231,84 @@ TEST(SparseChurn, GoldenWideIds) {
     }
     EXPECT_EQ(result.mean_population, golden.mean_population) << what;
     EXPECT_EQ(result.mean_entry_age, golden.mean_entry_age) << what;
+  }
+}
+
+TEST(SparseChurn, GoldenEagerRepair) {
+  // Eager repair (rho = 0.5) at bits <= 32, sync and in-flight: every
+  // observed-dead entry draws a Bernoulli, so any change to which entries
+  // are visited, or in what order, moves the table rng stream.  These
+  // exact counters were captured from the engine that kept one row per
+  // roster slot, before rows were pooled over present nodes.  s = 2 makes
+  // whole successor lists collapse, so full row rebuilds also happen in
+  // the middle of the repair pass.
+  const ChurnParams params{.death_per_round = 0.03,
+                           .rebirth_per_round = 0.07,
+                           .refresh_interval = 6};
+  struct Golden {
+    SparseChurnGeometry geometry;
+    bool inflight;
+    std::uint64_t attempts, count, sum, sum_squares, min, max;
+    std::uint64_t failures[obs::kRouteFailureCount];
+    double mean_entry_age;
+    MaintenanceCounters maintenance;
+  };
+  const Golden goldens[] = {
+      {SparseChurnGeometry::kChord, false, 9600, 9600, 46718, 249162, 1, 10,
+       {0, 0, 0, 0, 0}, 2.3131061726026316,
+       {2768430, 394475, 103141, 51670, 20974, 2779}},
+      {SparseChurnGeometry::kKademlia, false, 9600, 9593, 47546, 258866, 1,
+       10, {7, 0, 0, 0, 0}, 2.3651851868015226,
+       {5536860, 816649, 68033, 34022, 20911, 2780}},
+      {SparseChurnGeometry::kSymphony, false, 9600, 9595, 157986, 3139864, 1,
+       52, {5, 0, 0, 0, 0}, 2.3200999055326217,
+       {369124, 52674, 13706, 6808, 20929, 2780}},
+      {SparseChurnGeometry::kChord, true, 9600, 9592, 47240, 254948, 1, 11,
+       {6, 0, 0, 2, 0}, 2.3398566571812478,
+       {2745810, 395560, 95534, 47832, 20764, 2778}},
+      {SparseChurnGeometry::kKademlia, true, 9600, 9578, 47637, 260949, 1, 11,
+       {21, 0, 1, 0, 0}, 2.3704833104619905,
+       {5491620, 817204, 65643, 32795, 20727, 2779}},
+      {SparseChurnGeometry::kSymphony, true, 9600, 9535, 161785, 3305503, 1,
+       57, {12, 0, 0, 53, 0}, 2.3452407148264531,
+       {366108, 52800, 12710, 6333, 20725, 2778}},
+  };
+  for (const Golden& golden : goldens) {
+    SparseChurnConfig config{
+        .bits = 30, .capacity = 1500, .successors = 2, .shortcuts = 4};
+    if (golden.geometry == SparseChurnGeometry::kKademlia) {
+      config.bucket_k = 2;
+    }
+    TrajectoryOptions options{.warmup_rounds = 8,
+                              .measured_rounds = 3,
+                              .pairs_per_round = 400,
+                              .shards = 8,
+                              .repair_probability = 0.5};
+    options.inflight = golden.inflight;
+    const auto result = run_sparse_churn_trajectory(
+        golden.geometry, config, params, options, math::Rng(61));
+    const std::string what = std::string(to_string(golden.geometry)) +
+                             (golden.inflight ? " inflight" : " sync");
+    EXPECT_EQ(result.overall.attempts, golden.attempts) << what;
+    EXPECT_EQ(result.overall.hops.count(), golden.count) << what;
+    EXPECT_EQ(result.overall.hops.sum(), golden.sum) << what;
+    EXPECT_EQ(result.overall.hops.sum_squares(), golden.sum_squares) << what;
+    EXPECT_EQ(result.overall.hops.min(), golden.min) << what;
+    EXPECT_EQ(result.overall.hops.max(), golden.max) << what;
+    for (int c = 0; c < obs::kRouteFailureCount; ++c) {
+      EXPECT_EQ(result.overall.failures.counts[c], golden.failures[c])
+          << what << " fail_"
+          << obs::to_string(static_cast<obs::RouteFailure>(c));
+    }
+    EXPECT_EQ(result.mean_entry_age, golden.mean_entry_age) << what;
+    const MaintenanceCounters& m = result.maintenance;
+    const MaintenanceCounters& g = golden.maintenance;
+    EXPECT_EQ(m.entries_examined, g.entries_examined) << what;
+    EXPECT_EQ(m.due_refreshes, g.due_refreshes) << what;
+    EXPECT_EQ(m.repair_draws, g.repair_draws) << what;
+    EXPECT_EQ(m.repairs, g.repairs) << what;
+    EXPECT_EQ(m.successor_rebuilds, g.successor_rebuilds) << what;
+    EXPECT_EQ(m.rows_rebuilt, g.rows_rebuilt) << what;
   }
 }
 
@@ -871,9 +950,12 @@ TEST(SparseChurn, MaintenanceCountersAreExactAcrossThreadCounts) {
 }
 
 TEST(SparseChurn, RowBytesFollowTheIdWidth) {
-  // Per slot: row_width cells of link (8) + cached id (4 at bits <= 32,
-  // 8 above) + stamp (4), one due bound (4), s successor entries of
-  // link + id, and one successor stamp (4).
+  // Per materialized row: row_width cells of link (8) + cached id (4 at
+  // bits <= 32, 8 above) + stamp (4), one due bound (4), s successor
+  // entries of link + id, one successor stamp (4), and the slot holding
+  // the row (4).  Per roster slot:
+  // the 8 B slot-to-row word (generation and row).  A fresh world holds
+  // one row per present node.
   const ChurnParams params{.death_per_round = 0.05,
                            .rebirth_per_round = 0.05,
                            .refresh_interval = 6};
@@ -883,10 +965,80 @@ TEST(SparseChurn, RowBytesFollowTheIdWidth) {
     const SparseChurnWorld world(SparseChurnGeometry::kChord, config, params,
                                  0.0, 0, math::Rng(5));
     const std::uint64_t id_bytes = bits <= 32 ? 4 : 8;
-    const std::uint64_t per_slot =
+    const std::uint64_t per_row =
         static_cast<std::uint64_t>(bits) * (8 + id_bytes + 4) + 4 +
-        3 * (8 + id_bytes) + 4;
-    EXPECT_EQ(world.row_bytes(), 500 * per_slot) << "bits=" << bits;
+        3 * (8 + id_bytes) + 4 + 4;
+    EXPECT_EQ(world.rows_materialized(), world.population())
+        << "bits=" << bits;
+    EXPECT_EQ(world.row_bytes(),
+              world.rows_materialized() * per_row + 500 * 8)
+        << "bits=" << bits;
+  }
+}
+
+TEST(SparseChurn, RowPoolHoldsOneRowPerPresentNode) {
+  // Rows go only to present nodes and a leaver's row is reused before a
+  // fresh one is taken.  After every round: the rows in use are exactly
+  // the population; in round-synchronous mode (every leave of a round
+  // comes before its joins) the materialized rows are exactly the largest
+  // population seen; and row_bytes() is materialized rows x per-row bytes
+  // plus the per-slot map.  Heavy churn moves the population both ways.
+  const ChurnParams params{.death_per_round = 0.1,
+                           .rebirth_per_round = 0.1,
+                           .refresh_interval = 5};
+  constexpr std::uint64_t kCapacity = 600;
+  for (const SparseChurnGeometry geometry : kAllGeometries) {
+    for (const bool inflight : {false, true}) {
+      for (const double rho : {0.0, 0.5}) {
+        SparseChurnConfig config{.bits = 28,
+                                 .capacity = kCapacity,
+                                 .successors = 2,
+                                 .shortcuts = 4};
+        config.bucket_k = 2;
+        const std::uint64_t width =
+            geometry == SparseChurnGeometry::kChord
+                ? 28
+                : (geometry == SparseChurnGeometry::kKademlia ? 28 * 2 : 4);
+        const std::uint64_t per_row = width * (8 + 4 + 4) + 4 +
+                                      2 * (8 + 4) + 4 + 4;
+        SparseChurnWorld world(geometry, config, params, rho, 0,
+                               math::Rng(29));
+        const std::string what = std::string(to_string(geometry)) +
+                                 (inflight ? " inflight" : " sync") +
+                                 " rho=" + std::to_string(rho);
+        const std::uint64_t initial = world.population();
+        std::uint64_t high_water = initial;
+        bool dipped = false;
+        for (int round = 0; round <= 20; ++round) {
+          if (round > 0) {
+            if (inflight) {
+              (void)world.measure_inflight(40);
+            } else {
+              world.step();
+              (void)world.measure(40);
+            }
+          }
+          high_water = std::max(high_water, world.population());
+          dipped = dipped || world.population() < high_water;
+          const std::string at = what + " round " + std::to_string(round);
+          ASSERT_EQ(world.rows_in_use(), world.population()) << at;
+          if (inflight) {
+            // A row freed mid-round is reused only from the next lookup
+            // boundary on, so the high-water may run ahead.
+            ASSERT_GE(world.rows_materialized(), high_water) << at;
+            ASSERT_LE(world.rows_materialized(), kCapacity) << at;
+          } else {
+            ASSERT_EQ(world.rows_materialized(), high_water) << at;
+          }
+          ASSERT_EQ(world.row_bytes(),
+                    world.rows_materialized() * per_row + kCapacity * 8)
+              << at;
+        }
+        // The pool both grew past the build and reused freed rows.
+        EXPECT_GT(high_water, initial) << what;
+        EXPECT_TRUE(dipped) << what;
+      }
+    }
   }
 }
 
